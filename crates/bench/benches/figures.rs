@@ -9,10 +9,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pim_core::flow::FlowConfig;
 use pim_core::pipeline::Pipeline;
 use pim_core::scenario::{ScenarioPreset, StandardScenario};
-use pim_core::weighting::sensitivity_weighted_norm;
-use pim_passivity::check::{assess, assess_with_sampling};
-use pim_passivity::enforce::{enforce_passivity, EnforcementConfig, PerturbationNorm};
+use pim_core::weighting::SensitivityWeightedNorm;
+use pim_passivity::check::assess_with_sampling;
+use pim_passivity::enforce::{
+    enforce_passivity_observed, EnforcementConfig, EnforcementOutcome, PerturbationNorm,
+};
 use pim_passivity::grid::{Adaptive, CrossingRefined, FixedLog, FrequencyGrid};
+use pim_passivity::NormBuilder;
 use pim_pdn::{
     analytic_sensitivity, monte_carlo_sensitivity_with, target_impedance, SensitivityOptions,
 };
@@ -47,7 +50,11 @@ fn bench_figures(c: &mut Criterion) {
         })
     });
     c.bench_function("fig4_passivity_assessment", |b| {
-        b.iter(|| assess(&weighted.model, &omegas).expect("assess"))
+        b.iter(|| {
+            let grid = FrequencyGrid::from_omegas(&omegas);
+            assess_with_sampling(pim_runtime::global(), &weighted.model, &grid, &CrossingRefined)
+                .expect("assess")
+        })
     });
     // Sampling-strategy ablation on the same assessment: the fixed log grid
     // (no refinement), the historical crossing refinement, and the adaptive
@@ -84,31 +91,33 @@ fn bench_figures(c: &mut Criterion) {
         })
     });
     sampling.finish();
+    // A failing enforcement must fail the bench, not be timed as if it
+    // had delivered.
+    let enforce = |norm: &PerturbationNorm| -> EnforcementOutcome {
+        let cfg = EnforcementConfig {
+            sweep_points: 120,
+            max_iterations: 60,
+            sigma_margin: 1e-3,
+            ..Default::default()
+        };
+        let band = sc.data.grid().max_omega();
+        let outcome = enforce_passivity_observed(&weighted.model, norm, band, &cfg, &mut ())
+            .expect("enforcement");
+        assert!(outcome.report.passive, "enforcement delivered a non-passive model");
+        outcome
+    };
     let mut slow = c.benchmark_group("enforcement");
     slow.sample_size(10);
     slow.bench_function("fig5_weighted_enforcement", |b| {
         b.iter(|| {
-            let norm = sensitivity_weighted_norm(&weighted.model, &xi_model).expect("norm");
-            let cfg = EnforcementConfig {
-                sweep_points: 120,
-                max_iterations: 60,
-                sigma_margin: 1e-3,
-                ..Default::default()
-            };
-            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg)
+            let norm = SensitivityWeightedNorm::new(xi_model.clone())
+                .build(&weighted.model)
+                .expect("norm");
+            enforce(&norm)
         })
     });
     slow.bench_function("ablation_standard_norm_enforcement", |b| {
-        b.iter(|| {
-            let norm = PerturbationNorm::standard(&weighted.model).expect("norm");
-            let cfg = EnforcementConfig {
-                sweep_points: 120,
-                max_iterations: 60,
-                sigma_margin: 1e-3,
-                ..Default::default()
-            };
-            enforce_passivity(&weighted.model, &norm, sc.data.grid().max_omega(), &cfg)
-        })
+        b.iter(|| enforce(&PerturbationNorm::standard(&weighted.model).expect("norm")))
     });
     slow.finish();
     c.bench_function("fig6_model_resampling", |b| {

@@ -97,7 +97,7 @@ fn main() {
     let config = CorpusConfig::default();
     let seeds: Vec<u64> = (0..n as u64).collect();
     let t0 = Instant::now();
-    let verdicts = Corpus::run(&config, &seeds);
+    let verdicts = Corpus::run_with(pim_runtime::global(), &config, &seeds);
     let seconds = t0.elapsed().as_secs_f64();
 
     println!("# Corpus report: {n} boards, seeds 0..{n}, default CorpusConfig");

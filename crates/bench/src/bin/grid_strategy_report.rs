@@ -15,8 +15,8 @@ use pim_core::observer::TraceObserver;
 use pim_core::pipeline::Pipeline;
 use pim_core::scenario::ScenarioPreset;
 use pim_core::FlowConfig;
-use pim_passivity::grid::{Adaptive, CrossingRefined, FrequencyGrid};
-use pim_passivity::{assess_on, NormKind};
+use pim_passivity::grid::{Adaptive, CrossingRefined, FixedLog, FrequencyGrid};
+use pim_passivity::{assess_with_sampling, NormKind};
 use std::time::Instant;
 
 fn main() {
@@ -61,7 +61,9 @@ fn main() {
             None => (0, f64::NAN, report.sigma_max_before),
         };
         let final_model = report.final_model();
-        let audit_report = assess_on(final_model, &audit).expect("audit assessment");
+        let audit_report =
+            assess_with_sampling(pim_runtime::global(), final_model, &audit, &FixedLog)
+                .expect("audit assessment");
         let std_err = report
             .standard_passive_eval
             .as_ref()

@@ -10,11 +10,11 @@
 
 #![deny(missing_docs)]
 
+use pim_core::corpus::corpus_flow_config;
 use pim_core::flow::{FlowConfig, FlowReport};
 use pim_core::pipeline::Pipeline;
 use pim_core::scenario::{ScenarioPreset, StandardScenario};
-use pim_passivity::EnforcementConfig;
-use pim_vectfit::VfConfig;
+use pim_passivity::grid::CrossingRefined;
 
 /// The trimmed "fixture" flow configuration shared by the integration
 /// suite (`tests/pipeline.rs` / `tests/fig5_anomaly.rs` at the workspace
@@ -22,20 +22,14 @@ use pim_vectfit::VfConfig;
 /// `FlowConfig::default()` at a fraction of the runtime.
 /// `tests/fixtures/fig5_iterations.txt` is recorded under it, so anything
 /// claiming fixture parity must use exactly this.
+///
+/// It is [`corpus_flow_config`] at order 18 with the historical
+/// [`CrossingRefined`] sampling set back, so the trimmed numerics live in
+/// one place.
 pub fn fixture_flow_config() -> FlowConfig {
-    FlowConfig {
-        vf: VfConfig { n_poles: 18, n_iterations: 5, ..VfConfig::default() },
-        sensitivity_order: 6,
-        weight_floor: 1e-2,
-        enforcement: EnforcementConfig {
-            sweep_points: 200,
-            sigma_margin: 1e-3,
-            max_iterations: 60,
-            ..Default::default()
-        },
-        run_standard_enforcement: true,
-        ..FlowConfig::default()
-    }
+    let mut config = corpus_flow_config(18);
+    config.enforcement = config.enforcement.sampling(CrossingRefined);
+    config
 }
 
 /// The trimmed corpus configuration shared by the integration suite
@@ -44,7 +38,6 @@ pub fn fixture_flow_config() -> FlowConfig {
 /// `CorpusConfig::default()` at a fraction of the runtime, so the
 /// workspace tests can afford full corpus runs in debug builds.
 pub fn corpus_smoke_config() -> pim_core::CorpusConfig {
-    use pim_core::corpus::corpus_flow_config;
     let mut config = pim_core::CorpusConfig::default();
     config.generator.nx = (2, 3);
     config.generator.ny = (2, 3);

@@ -1,7 +1,7 @@
 //! The stress-corpus harness: certification-gated batch runs over generated
 //! boards, with automatic minimization of failing scenarios.
 //!
-//! [`Corpus::run`] pushes every seed of a seed list through the full
+//! [`Corpus::run_with`] pushes every seed of a seed list through the full
 //! fit → assess → enforce flow on a board drawn by
 //! [`pim_circuit::generator::BoardGenerator`], then classifies the outcome
 //! against the certification gate (the downstream gates decide pass/fail —
@@ -34,8 +34,8 @@ use crate::{CoreError, Result};
 use pim_circuit::board::{build_board, StackStage, SyntheticPdn};
 use pim_circuit::generator::{BoardGenerator, DecapPart, DieModel, GeneratedBoard, VrmModel};
 use pim_circuit::PdnBoardSpec;
-use pim_passivity::check::assess_on;
-use pim_passivity::grid::{Adaptive, FrequencyGrid};
+use pim_passivity::check::assess_with_sampling;
+use pim_passivity::grid::{Adaptive, FixedLog, FrequencyGrid};
 use pim_passivity::{EnforcementConfig, PassivityError};
 use pim_pdn::{Termination, TerminationNetwork};
 use pim_rfdata::NetworkData;
@@ -341,7 +341,8 @@ impl CorpusCase {
                     data.grid().max_omega(),
                     self.flow.enforcement.sweep_points * self.audit_multiplier,
                 );
-                match assess_on(report.final_model(), &audit_grid) {
+                let pool = pim_runtime::global();
+                match assess_with_sampling(pool, report.final_model(), &audit_grid, &FixedLog) {
                     Ok(a) => (a.sigma_max, Some(a.omega_at_sigma_max)),
                     Err(e) => {
                         verdict.detail = format!("audit: {e}");
@@ -432,15 +433,10 @@ impl Corpus {
         })
     }
 
-    /// Runs the corpus over `seeds` on the global thread pool. One verdict
-    /// per seed, in seed-list order; generation failures classify as
-    /// [`CorpusClass::Failed`] rather than aborting the run.
-    pub fn run(config: &CorpusConfig, seeds: &[u64]) -> Vec<CorpusVerdict> {
-        Corpus::run_with(pim_runtime::global(), config, seeds)
-    }
-
-    /// [`Corpus::run`] on an explicit pool — results are bit-identical for
-    /// every thread count (verdicts are collected by seed index).
+    /// Runs the corpus over `seeds` on `pool`. One verdict per seed, in
+    /// seed-list order (collected by seed index, so results are
+    /// bit-identical for every thread count); generation failures classify
+    /// as [`CorpusClass::Failed`] rather than aborting the run.
     pub fn run_with(
         pool: &pim_runtime::ThreadPool,
         config: &CorpusConfig,
@@ -948,7 +944,7 @@ mod tests {
     fn generator_failure_is_a_failed_verdict_not_an_abort() {
         let mut config = CorpusConfig::default();
         config.generator.nx = (1, 1);
-        let verdicts = Corpus::run(&config, &[0, 1]);
+        let verdicts = Corpus::run_with(pim_runtime::global(), &config, &[0, 1]);
         assert_eq!(verdicts.len(), 2);
         assert!(verdicts.iter().all(|v| v.class == CorpusClass::Failed));
         assert!(verdicts[0].detail.starts_with("generator:"));

@@ -17,11 +17,11 @@
 //!   enforce`), each returning an owned artifact, a
 //!   [`pipeline::Pipeline::sampling`] builder plugging a
 //!   `pim_passivity::grid::SamplingStrategy` into the assessment and
-//!   enforcement grids, plus the [`pipeline::Pipeline::sweep`] batch
+//!   enforcement grids, plus the [`pipeline::Pipeline::sweep_with`] batch
 //!   runner over [`scenario::ScenarioPreset`]s;
-//! * [`flow`] — the legacy one-shot entry point [`flow::run_flow`], now a
-//!   thin wrapper over the pipeline producing a bit-identical
-//!   [`flow::FlowReport`], plus the report/evaluation types;
+//! * [`flow`] — the flow's configuration, report and evaluation types
+//!   ([`flow::FlowConfig`], [`flow::FlowReport`]); the one-shot run is
+//!   `Pipeline::from_data(..)?.report()`;
 //! * [`observer`] — the [`observer::FlowObserver`] hook (stage boundaries +
 //!   per-iteration enforcement events) and the recording
 //!   [`observer::TraceObserver`];
@@ -52,7 +52,7 @@ pub use corpus::{
     corpus_flow_config, minimize, Corpus, CorpusCase, CorpusClass, CorpusConfig, CorpusVerdict,
     MinimizedFixture,
 };
-pub use flow::{run_flow, FlowConfig, FlowReport, ModelEvaluation};
+pub use flow::{FlowConfig, FlowReport, ModelEvaluation};
 pub use observer::{FlowObserver, Stage, TraceObserver};
 pub use pipeline::{
     AssessmentArtifact, EnforcementArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact,
@@ -63,9 +63,7 @@ pub use recovery::{
     RungAttempt,
 };
 pub use scenario::{ScenarioConfig, ScenarioPreset, StandardScenario};
-pub use weighting::{
-    blended_norm, sensitivity_weighted_norm, BlendedNorm, SensitivityWeightedNorm,
-};
+pub use weighting::{BlendedNorm, SensitivityWeightedNorm};
 
 use std::error::Error;
 use std::fmt;

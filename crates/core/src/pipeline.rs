@@ -1,7 +1,7 @@
 //! The staged, observable macromodeling pipeline.
 //!
-//! [`Pipeline`] decomposes the monolithic flow of [`crate::flow::run_flow`]
-//! into typed stages, each returning an owned artifact:
+//! [`Pipeline`] decomposes the flow of [`crate::flow`] into typed stages,
+//! each returning an owned artifact:
 //!
 //! ```text
 //! Pipeline::from_scenario(..) / from_data(..)
@@ -18,12 +18,12 @@
 //! assessment), and re-requesting an artifact returns the cached value
 //! without recomputation. A [`FlowObserver`] attached with
 //! [`Pipeline::with_observer`] sees stage boundaries and every enforcement
-//! iteration; observers never change numerics — the staged path is
-//! bit-identical to the legacy one-shot [`crate::flow::run_flow`] wrapper.
+//! iteration; observers never change numerics — any stage order, observed
+//! or not, is bit-identical to a fresh [`Pipeline::report`].
 //!
-//! [`Pipeline::sweep`] is the batch entry point: it evaluates a list of
-//! [`ScenarioPreset`]s end-to-end and returns one [`FlowReport`] per
-//! scenario.
+//! [`Pipeline::sweep_with`] is the batch entry point: it evaluates a list of
+//! [`ScenarioPreset`]s end-to-end on a thread pool and returns one
+//! [`FlowReport`] per scenario.
 
 use crate::flow::{evaluate_model, FlowConfig, FlowReport};
 use crate::observer::{FlowObserver, Stage, TraceObserver};
@@ -33,12 +33,12 @@ use crate::recovery::{
 use crate::scenario::{ScenarioPreset, StandardScenario};
 use crate::weighting::{BlendedNorm, SensitivityWeightedNorm};
 use crate::{CoreError, Result};
-use pim_passivity::check::{assess_on, assess_with_sampling, PassivityReport};
+use pim_passivity::check::{assess_with_sampling, PassivityReport};
 use pim_passivity::enforce::{
-    enforce_passivity, enforce_passivity_observed, EnforcementConfig, EnforcementIteration,
-    EnforcementObserver, EnforcementOutcome,
+    enforce_passivity_observed, EnforcementConfig, EnforcementIteration, EnforcementObserver,
+    EnforcementOutcome,
 };
-use pim_passivity::grid::{FrequencyGrid, SamplingStrategy};
+use pim_passivity::grid::{FixedLog, FrequencyGrid, SamplingStrategy};
 use pim_passivity::norm::{NormBuilder, NormKind, StandardNorm};
 use pim_passivity::{NotConvergedDiagnostics, PassivityError};
 use pim_pdn::sensitivity::sensitivity_to_weights;
@@ -99,7 +99,7 @@ pub struct EnforcementArtifact {
     pub outcome: Option<EnforcementOutcome>,
 }
 
-/// One entry of a [`Pipeline::sweep`] run.
+/// One entry of a [`Pipeline::sweep_with`] run.
 #[derive(Debug, Clone)]
 pub struct SweepEntry {
     /// The preset the scenario was built from.
@@ -116,16 +116,18 @@ pub struct SweepEntry {
     pub trace: TraceObserver,
 }
 
-/// Forwards per-iteration enforcement events to a [`FlowObserver`], labeled
-/// with the norm being enforced.
-struct NormLabeled<'x> {
-    inner: &'x mut dyn FlowObserver,
+/// Forwards per-iteration enforcement events to the pipeline's
+/// [`FlowObserver`], if any, labeled with the norm being enforced.
+struct NormLabeled<'x, 'o> {
+    inner: Option<&'x mut (dyn FlowObserver + 'o)>,
     norm: NormKind,
 }
 
-impl EnforcementObserver for NormLabeled<'_> {
+impl EnforcementObserver for NormLabeled<'_, '_> {
     fn on_enforcement_iteration(&mut self, event: &EnforcementIteration) {
-        self.inner.on_enforcement_iteration(self.norm, event);
+        if let Some(inner) = self.inner.as_deref_mut() {
+            inner.on_enforcement_iteration(self.norm, event);
+        }
     }
 }
 
@@ -434,21 +436,14 @@ impl<'a> Pipeline<'a> {
         // Split-borrow: the model lives in `self.weighted_fit`, the observer
         // in `self.observer`; the field borrows are disjoint.
         let model = &self.weighted_fit.as_ref().expect("cached above").model;
-        let result = match self.observer.as_deref_mut() {
-            Some(inner) => {
-                let mut labeled = NormLabeled { inner, norm: kind };
-                enforce_passivity_observed(
-                    model,
-                    &norm,
-                    assessment.band_max_omega,
-                    &self.config.enforcement,
-                    &mut labeled,
-                )
-            }
-            None => {
-                enforce_passivity(model, &norm, assessment.band_max_omega, &self.config.enforcement)
-            }
-        };
+        let mut labeled = NormLabeled { inner: self.observer.as_deref_mut(), norm: kind };
+        let result = enforce_passivity_observed(
+            model,
+            &norm,
+            assessment.band_max_omega,
+            &self.config.enforcement,
+            &mut labeled,
+        );
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(e) => {
@@ -468,7 +463,11 @@ impl<'a> Pipeline<'a> {
                     // audit-grid sigma_max instead of the loop-sweep value.
                     let mut diagnostics = diagnostics.clone();
                     if let Some(best_model) = best.as_deref() {
-                        if let Ok(audit) = assess_on(best_model, &self.audit_grid()) {
+                        let audit_grid = self.audit_grid();
+                        let pool = pim_runtime::global();
+                        if let Ok(audit) =
+                            assess_with_sampling(pool, best_model, &audit_grid, &FixedLog)
+                        {
                             diagnostics.best_sigma_max = Some(audit.sigma_max);
                         }
                     }
@@ -603,13 +602,8 @@ impl<'a> Pipeline<'a> {
                 }
             };
             self.stage_start(Stage::Recovery(rung));
-            let result = match self.observer.as_deref_mut() {
-                Some(inner) => {
-                    let mut labeled = NormLabeled { inner, norm: label };
-                    enforce_passivity_observed(&model, &norm, band, &cfg, &mut labeled)
-                }
-                None => enforce_passivity(&model, &norm, band, &cfg),
-            };
+            let mut labeled = NormLabeled { inner: self.observer.as_deref_mut(), norm: label };
+            let result = enforce_passivity_observed(&model, &norm, band, &cfg, &mut labeled);
             match result {
                 Ok(outcome) => {
                     self.stage_done(Stage::Recovery(rung));
@@ -671,10 +665,11 @@ impl<'a> Pipeline<'a> {
 
     /// Runs every remaining stage and assembles the full [`FlowReport`].
     ///
-    /// The stage order, the enforcement policy (the weighted enforcement
-    /// must succeed; the standard baseline tolerates
-    /// [`PassivityError::NotConverged`]) and the resulting numbers are
-    /// identical to the legacy [`crate::flow::run_flow`].
+    /// The weighted enforcement must succeed (through the recovery ladder if
+    /// need be); the standard baseline tolerates
+    /// [`PassivityError::NotConverged`] and is then reported as absent.
+    /// Stages already run are served from cache, so the numbers do not
+    /// depend on which stages were requested before.
     ///
     /// # Errors
     ///
@@ -747,8 +742,12 @@ impl<'a> Pipeline<'a> {
             ContractPolicy::Off => None,
             ContractPolicy::Report | ContractPolicy::Refuse => {
                 let audit_grid = self.audit_grid();
-                let audit =
-                    assess_on(weighted_passive_model, &audit_grid).map_err(CoreError::Passivity)?;
+                let audit = assess_with_sampling(
+                    pim_runtime::global(),
+                    weighted_passive_model,
+                    &audit_grid,
+                    &FixedLog,
+                )?;
                 Some(AccuracyContract {
                     rung: recovery
                         .as_ref()
@@ -793,30 +792,18 @@ impl<'a> Pipeline<'a> {
     /// each, returning one [`FlowReport`] (plus its recorded trace) per
     /// preset.
     ///
-    /// Presets run **concurrently** on the [`pim_runtime::global`] pool —
-    /// each produces owned artifacts, so the only shared state is the
-    /// configuration. Entries are collected by preset index and every preset
-    /// records observer events into its own buffer (see
-    /// [`SweepEntry::trace`]), which makes the parallel sweep bit-identical
-    /// to the serial one for every `PIM_THREADS` (`1` forces the serial
-    /// path); the integration suite pins this at the float-bit level.
+    /// Presets run **concurrently** on `pool` — each produces owned
+    /// artifacts, so the only shared state is the configuration. Entries are
+    /// collected by preset index and every preset records observer events
+    /// into its own buffer (see [`SweepEntry::trace`]), which makes the
+    /// parallel sweep bit-identical to the serial one for every pool size
+    /// (the integration suite pins this at the float-bit level).
     ///
     /// # Errors
     ///
     /// Propagates scenario-construction and flow failures of any preset;
     /// when several presets fail, the error of the lowest preset index is
     /// reported regardless of scheduling order.
-    pub fn sweep(presets: &[ScenarioPreset], config: &FlowConfig) -> Result<Vec<SweepEntry>> {
-        Pipeline::sweep_with(pim_runtime::global(), presets, config)
-    }
-
-    /// [`Pipeline::sweep`] on an explicit [`pim_runtime::ThreadPool`] (the
-    /// determinism test suites compare pools of different sizes bit for
-    /// bit).
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::sweep`].
     pub fn sweep_with(
         pool: &pim_runtime::ThreadPool,
         presets: &[ScenarioPreset],

@@ -195,25 +195,19 @@ impl ScenarioPreset {
         }
     }
 
-    /// The sampling strategy this preset recommends for assessment and
-    /// enforcement (see [`pim_passivity::grid`]).
-    ///
-    /// Every preset whose macromodels carry sharp resonances — which is all
-    /// of them; sub-grid violation bands were the root cause of the Fig. 5
-    /// anomaly — recommends [`pim_passivity::grid::Adaptive`]. The plain
-    /// [`crate::flow::FlowConfig::default`] keeps the historical
-    /// [`pim_passivity::grid::CrossingRefined`] for bit-compatibility;
-    /// [`ScenarioPreset::flow_config`] applies the recommendation.
-    pub fn default_sampling(self) -> std::sync::Arc<dyn pim_passivity::grid::SamplingStrategy> {
-        std::sync::Arc::new(pim_passivity::grid::Adaptive::default())
-    }
-
     /// The recommended flow configuration for this preset:
     /// [`crate::flow::FlowConfig::default`] with
-    /// [`ScenarioPreset::default_sampling`] applied to the enforcement.
+    /// [`pim_passivity::grid::Adaptive`] sampling on the assessment and
+    /// enforcement grids.
+    ///
+    /// Every preset's macromodels carry sharp resonances, and sub-grid
+    /// violation bands were the root cause of the Fig. 5 anomaly, so every
+    /// preset recommends the adaptive strategy. The plain
+    /// [`crate::flow::FlowConfig::default`] keeps the historical
+    /// [`pim_passivity::grid::CrossingRefined`] for bit-compatibility.
     pub fn flow_config(self) -> crate::flow::FlowConfig {
         let mut config = crate::flow::FlowConfig::default();
-        config.enforcement.sampling = self.default_sampling();
+        config.enforcement.sampling = std::sync::Arc::new(pim_passivity::grid::Adaptive::default());
         config
     }
 
@@ -452,7 +446,6 @@ mod tests {
     #[test]
     fn presets_recommend_the_adaptive_sampling_strategy() {
         for preset in ScenarioPreset::ALL {
-            assert_eq!(preset.default_sampling().name(), "adaptive");
             let config = preset.flow_config();
             assert_eq!(config.enforcement.sampling.name(), "adaptive");
             // Everything else stays at the paper-faithful defaults.

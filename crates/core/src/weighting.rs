@@ -1,16 +1,17 @@
 //! Construction of the sensitivity-weighted perturbation norm
 //! (eq. 14–21 of the paper).
 
-use crate::{CoreError, Result};
 use pim_passivity::enforce::PerturbationNorm;
 use pim_passivity::norm::{NormBuilder, NormKind};
-use pim_passivity::PassivityError;
+use pim_passivity::{PassivityError, Result};
 use pim_statespace::gramian::weighted_element_gramian;
 use pim_statespace::{PoleResidueModel, StateSpace};
 use pim_vectfit::SensitivityModel;
 
-/// Builds the sensitivity-weighted perturbation norm `‖δS‖²_Ξ = ‖Ξ̃·δS‖²₂`
-/// for a macromodel.
+/// [`NormBuilder`] for the paper's sensitivity-weighted norm
+/// `‖δS‖²_Ξ = ‖Ξ̃·δS‖²₂`: captures the weighting model `Ξ̃(s)` and
+/// instantiates the norm for any macromodel handed to
+/// [`NormBuilder::build`].
 ///
 /// For every matrix element the cascade `S_ij(s)·Ξ̃(s)` of eq. (18) is
 /// realized and the `(1,1)` block of its controllability Gramian (eq. 19)
@@ -18,16 +19,16 @@ use pim_vectfit::SensitivityModel;
 /// per-element contributions add up to the norm of eq. (21). Because the
 /// macromodel uses common poles, all elements share the same `(A_e, b_e)`
 /// pair, hence the same weighted Gramian — it is computed once and reused.
-///
-/// # Errors
-///
-/// Propagates realization and Lyapunov solver failures.
+/// The enforcement plumbing (`pim_passivity` and the pipeline) treats this
+/// builder uniformly with [`pim_passivity::StandardNorm`] and any future
+/// hybrid.
 ///
 /// ```
 /// use pim_linalg::{CMat, Complex64, Mat};
+/// use pim_passivity::NormBuilder;
 /// use pim_statespace::PoleResidueModel;
 /// use pim_vectfit::{fit_magnitude, MagnitudeFitConfig};
-/// use pim_core::sensitivity_weighted_norm;
+/// use pim_core::SensitivityWeightedNorm;
 ///
 /// # fn main() -> Result<(), pim_core::CoreError> {
 /// let model = PoleResidueModel::new(
@@ -38,31 +39,11 @@ use pim_vectfit::SensitivityModel;
 /// // A flat (constant) sensitivity weight.
 /// let omegas: Vec<f64> = (0..40).map(|k| 10f64.powf(1.0 + 0.1 * k as f64)).collect();
 /// let xi = fit_magnitude(&omegas, &vec![2.0; 40], &MagnitudeFitConfig { order: 2, ..Default::default() })?;
-/// let norm = sensitivity_weighted_norm(&model, &xi)?;
+/// let norm = SensitivityWeightedNorm::new(xi).build(&model)?;
 /// assert_eq!(norm.gramians().len(), 1);
 /// # Ok(())
 /// # }
 /// ```
-pub fn sensitivity_weighted_norm(
-    model: &PoleResidueModel,
-    sensitivity: &SensitivityModel,
-) -> Result<PerturbationNorm> {
-    let ports = model.ports();
-    let element = StateSpace::from_pole_residue_element(model, 0, 0)?;
-    let weight = sensitivity.state_space()?;
-    let gramian = weighted_element_gramian(&element, &weight)?;
-    let states = element.order();
-    let blocks = vec![gramian; ports * ports];
-    Ok(PerturbationNorm::from_gramians(blocks, ports, states)?)
-}
-
-/// [`NormBuilder`] for the paper's sensitivity-weighted norm: captures the
-/// weighting model `Ξ̃(s)` and instantiates the cascade-Gramian norm of
-/// eq. (19)–(21) for any macromodel handed to [`NormBuilder::build`].
-///
-/// This is the pluggable counterpart of [`sensitivity_weighted_norm`]: the
-/// enforcement plumbing (`pim_passivity` and the pipeline) treats it
-/// uniformly with [`pim_passivity::StandardNorm`] and any future hybrid.
 #[derive(Debug, Clone)]
 pub struct SensitivityWeightedNorm {
     weighting: SensitivityModel,
@@ -85,23 +66,22 @@ impl NormBuilder for SensitivityWeightedNorm {
         NormKind::SensitivityWeighted
     }
 
-    fn build(&self, model: &PoleResidueModel) -> pim_passivity::Result<PerturbationNorm> {
-        sensitivity_weighted_norm(model, &self.weighting).map_err(core_to_passivity)
+    fn build(&self, model: &PoleResidueModel) -> Result<PerturbationNorm> {
+        let ports = model.ports();
+        let element = StateSpace::from_pole_residue_element(model, 0, 0)?;
+        let weight = self
+            .weighting
+            .state_space()
+            .map_err(|e| PassivityError::InvalidInput(format!("rational fitting failure: {e}")))?;
+        let gramian = weighted_element_gramian(&element, &weight)?;
+        let states = element.order();
+        PerturbationNorm::from_gramians(vec![gramian; ports * ports], ports, states)
     }
 }
 
-fn core_to_passivity(e: CoreError) -> PassivityError {
-    match e {
-        CoreError::Passivity(p) => p,
-        CoreError::StateSpace(s) => PassivityError::StateSpace(s),
-        CoreError::Linalg(l) => PassivityError::Linalg(l),
-        other => PassivityError::InvalidInput(other.to_string()),
-    }
-}
-
-/// Builds the trace-normalized blend of the sensitivity-weighted and the
-/// standard Gramians: `α·G_Ξ/t̄_Ξ + (1−α)·G_std/t̄_std`, where `t̄` is the
-/// mean block trace of each family.
+/// [`NormBuilder`] for the blended recovery norm: the trace-normalized blend
+/// `α·G_Ξ/t̄_Ξ + (1−α)·G_std/t̄_std` of the sensitivity-weighted and the
+/// standard Gramians, where `t̄` is the mean block trace of each family.
 ///
 /// This is the middle rung of the recovery ladder
 /// ([`crate::recovery::RecoveryRung::Blended`]): the sensitivity weighting
@@ -111,41 +91,6 @@ fn core_to_passivity(e: CoreError) -> PassivityError {
 /// would dominate regardless of `α`. The QP minimizer is invariant under a
 /// global scale of the norm, so normalization never changes the `α = 0` /
 /// `α = 1` limits beyond that scale.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] for `α` outside `[0, 1]`, and
-/// propagates realization and Lyapunov-solver failures of either family.
-pub fn blended_norm(
-    model: &PoleResidueModel,
-    sensitivity: &SensitivityModel,
-    alpha: f64,
-) -> Result<PerturbationNorm> {
-    if !(0.0..=1.0).contains(&alpha) {
-        return Err(CoreError::InvalidInput(format!(
-            "blend weight alpha must be in [0, 1], got {alpha}"
-        )));
-    }
-    let weighted = sensitivity_weighted_norm(model, sensitivity)?;
-    let standard = PerturbationNorm::standard(model)?;
-    let mean_trace = |norm: &PerturbationNorm| -> f64 {
-        let sum: f64 = norm.gramians().iter().map(|g| g.trace()).sum();
-        (sum / norm.gramians().len() as f64).abs().max(1e-300)
-    };
-    let tw = mean_trace(&weighted);
-    let ts = mean_trace(&standard);
-    let blocks: Vec<_> = weighted
-        .gramians()
-        .iter()
-        .zip(standard.gramians())
-        .map(|(gw, gs)| &gw.scaled(alpha / tw) + &gs.scaled((1.0 - alpha) / ts))
-        .collect();
-    Ok(PerturbationNorm::from_gramians(blocks, model.ports(), weighted.states())?)
-}
-
-/// [`NormBuilder`] for the blended recovery norm: captures the weighting
-/// model `Ξ̃(s)` and the blend weight `α`, and instantiates the
-/// trace-normalized blend of [`blended_norm`] for any macromodel.
 #[derive(Debug, Clone)]
 pub struct BlendedNorm {
     weighting: SensitivityModel,
@@ -170,8 +115,32 @@ impl NormBuilder for BlendedNorm {
         NormKind::Blended
     }
 
-    fn build(&self, model: &PoleResidueModel) -> pim_passivity::Result<PerturbationNorm> {
-        blended_norm(model, &self.weighting, self.alpha).map_err(core_to_passivity)
+    /// # Errors
+    ///
+    /// Returns [`PassivityError::InvalidInput`] for `α` outside `[0, 1]`, and
+    /// propagates realization and Lyapunov-solver failures of either family.
+    fn build(&self, model: &PoleResidueModel) -> Result<PerturbationNorm> {
+        let alpha = self.alpha;
+        if !(0.0..=1.0).contains(&alpha) {
+            return Err(PassivityError::InvalidInput(format!(
+                "blend weight alpha must be in [0, 1], got {alpha}"
+            )));
+        }
+        let weighted = SensitivityWeightedNorm::new(self.weighting.clone()).build(model)?;
+        let standard = PerturbationNorm::standard(model)?;
+        let mean_trace = |norm: &PerturbationNorm| -> f64 {
+            let sum: f64 = norm.gramians().iter().map(|g| g.trace()).sum();
+            (sum / norm.gramians().len() as f64).abs().max(1e-300)
+        };
+        let tw = mean_trace(&weighted);
+        let ts = mean_trace(&standard);
+        let blocks: Vec<_> = weighted
+            .gramians()
+            .iter()
+            .zip(standard.gramians())
+            .map(|(gw, gs)| &gw.scaled(alpha / tw) + &gs.scaled((1.0 - alpha) / ts))
+            .collect();
+        PerturbationNorm::from_gramians(blocks, model.ports(), weighted.states())
     }
 }
 
@@ -226,8 +195,8 @@ mod tests {
     #[test]
     fn flat_weight_scales_the_standard_gramian() {
         let model = two_port_model();
-        let norm1 = sensitivity_weighted_norm(&model, &flat_weight(1.0)).unwrap();
-        let norm3 = sensitivity_weighted_norm(&model, &flat_weight(3.0)).unwrap();
+        let norm1 = SensitivityWeightedNorm::new(flat_weight(1.0)).build(&model).unwrap();
+        let norm3 = SensitivityWeightedNorm::new(flat_weight(3.0)).build(&model).unwrap();
         let element = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
         let plain = element_gramian(&element).unwrap();
         // |Ξ| = 1 reproduces the standard Gramian, |Ξ| = 3 scales it by 9.
@@ -259,7 +228,7 @@ mod tests {
         // -1e3 rad/s) must cost more than one affecting the resonant pair at
         // 8e4 rad/s, relative to the unweighted norm.
         let model = two_port_model();
-        let weighted = sensitivity_weighted_norm(&model, &lowpass_weight()).unwrap();
+        let weighted = SensitivityWeightedNorm::new(lowpass_weight()).build(&model).unwrap();
         let element = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
         let plain = element_gramian(&element).unwrap();
         let gw = &weighted.gramians()[0];
@@ -282,7 +251,10 @@ mod tests {
     fn builder_matches_the_direct_construction() {
         let model = two_port_model();
         let weight = lowpass_weight();
-        let direct = sensitivity_weighted_norm(&model, &weight).unwrap();
+        // The cascade Gramian of eq. (19)–(20), assembled by hand.
+        let element = StateSpace::from_pole_residue_element(&model, 0, 0).unwrap();
+        let gramian = weighted_element_gramian(&element, &weight.state_space().unwrap()).unwrap();
+        let direct = PerturbationNorm::from_gramians(vec![gramian; 4], 2, element.order()).unwrap();
         let weight_order = weight.order();
         let builder = SensitivityWeightedNorm::new(weight);
         assert_eq!(builder.kind(), NormKind::SensitivityWeighted);
@@ -299,13 +271,13 @@ mod tests {
     fn blended_norm_interpolates_between_the_families() {
         let model = two_port_model();
         let weight = lowpass_weight();
-        let weighted = sensitivity_weighted_norm(&model, &weight).unwrap();
+        let weighted = SensitivityWeightedNorm::new(weight.clone()).build(&model).unwrap();
         let standard = PerturbationNorm::standard(&model).unwrap();
         // The α = 1 / α = 0 limits equal one family up to the global
         // trace-normalization scale (which the QP minimizer is invariant
         // under).
         for (alpha, family) in [(1.0, &weighted), (0.0, &standard)] {
-            let blend = blended_norm(&model, &weight, alpha).unwrap();
+            let blend = BlendedNorm::new(weight.clone(), alpha).build(&model).unwrap();
             let scale = blend.gramians()[0][(0, 0)] / family.gramians()[0][(0, 0)];
             for (gb, gf) in blend.gramians().iter().zip(family.gramians()) {
                 for i in 0..gb.rows() {
@@ -325,7 +297,8 @@ mod tests {
             dir.iter().zip(&gv).map(|(a, b)| a * b).sum()
         };
         let ratio = |g: &Mat| cost(g, &[1.0, 0.0, 0.0]) / cost(g, &[0.0, 1.0, 0.0]);
-        let mid = blended_norm(&model, &weight, 0.5).unwrap();
+        let builder = BlendedNorm::new(weight.clone(), 0.5);
+        let mid = builder.build(&model).unwrap();
         let (rw, rs, rm) = (
             ratio(&weighted.gramians()[0]),
             ratio(&standard.gramians()[0]),
@@ -336,22 +309,17 @@ mod tests {
             "mid ratio {rm} must sit between standard {rs} and weighted {rw}"
         );
         // Out-of-range α is rejected.
-        assert!(blended_norm(&model, &weight, 1.5).is_err());
-        assert!(blended_norm(&model, &weight, -0.1).is_err());
-        // The builder matches the free function and labels itself.
-        let builder = BlendedNorm::new(weight, 0.5);
+        assert!(BlendedNorm::new(weight.clone(), 1.5).build(&model).is_err());
+        assert!(BlendedNorm::new(weight, -0.1).build(&model).is_err());
+        // The builder labels itself.
         assert_eq!(builder.kind(), NormKind::Blended);
         assert_eq!((builder.alpha()).to_bits(), 0.5f64.to_bits());
-        let built = builder.build(&model).unwrap();
-        for (a, b) in built.gramians().iter().zip(mid.gramians()) {
-            assert_eq!((a.max_abs_diff(b)).to_bits(), 0.0f64.to_bits());
-        }
     }
 
     #[test]
     fn norm_dimensions_match_model() {
         let model = two_port_model();
-        let norm = sensitivity_weighted_norm(&model, &flat_weight(1.0)).unwrap();
+        let norm = SensitivityWeightedNorm::new(flat_weight(1.0)).build(&model).unwrap();
         assert_eq!(norm.ports(), 2);
         assert_eq!(norm.states(), 3);
         let v = norm.evaluate(&[1e-3; 2 * 2 * 3]).unwrap();

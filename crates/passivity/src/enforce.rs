@@ -180,10 +180,6 @@ pub struct EnforcementConfig {
     /// Enforce residue-matrix symmetry after every perturbation (reciprocal
     /// structures).
     pub preserve_symmetry: bool,
-    /// Halve the perturbation step when it makes the worst singular value
-    /// larger (the linearized constraints can overshoot for strong
-    /// violations or strongly skewed norms).
-    pub backtracking: bool,
     /// The sampling strategy that builds the working sweep, the convergence
     /// double-check grid and the final verification grid, and refines every
     /// per-iteration assessment (see [`crate::grid`]). The default
@@ -213,7 +209,6 @@ impl Default for EnforcementConfig {
             sweep_points: 400,
             band_edge_constraints: true,
             preserve_symmetry: false,
-            backtracking: true,
             sampling: Arc::new(CrossingRefined),
             divergence_guard: 3,
             qp: QpOptions::default(),
@@ -263,8 +258,8 @@ pub struct EnforcementIteration {
 /// Per-iteration observer hook of the enforcement loop.
 ///
 /// Implementations receive one [`EnforcementIteration`] per outer iteration;
-/// the hook is purely observational — it cannot alter the loop, and running
-/// with or without an observer produces bit-identical models.
+/// the hook is purely observational — it cannot alter the loop, and every
+/// observer produces bit-identical models. Unobserved callers pass `&mut ()`.
 pub trait EnforcementObserver {
     /// Called once per outer iteration, after the perturbation is applied.
     fn on_enforcement_iteration(&mut self, event: &EnforcementIteration);
@@ -277,6 +272,11 @@ pub trait EnforcementObserver {
     fn on_iteration_model(&mut self, iteration: usize, model: &PoleResidueModel) {
         let _ = (iteration, model);
     }
+}
+
+/// The no-op observer of unobserved enforcement runs.
+impl EnforcementObserver for () {
+    fn on_enforcement_iteration(&mut self, _event: &EnforcementIteration) {}
 }
 
 /// What the robustness machinery did during a run: whether the trust region
@@ -361,7 +361,9 @@ pub fn enforce_asymptotic_passivity(
     Ok(PoleResidueModel::new(model.poles().to_vec(), model.residues().to_vec(), d_new)?)
 }
 
-/// Runs the iterative perturbation loop until the model is passive.
+/// Runs the iterative perturbation loop until the model is passive,
+/// reporting every outer iteration to `observer` (pass `&mut ()` to run
+/// unobserved; numerics are identical either way).
 ///
 /// The asymptotic term is clipped first (see
 /// [`enforce_asymptotic_passivity`]); the loop then perturbs only the
@@ -371,39 +373,12 @@ pub fn enforce_asymptotic_passivity(
 ///
 /// Returns [`PassivityError::NotConverged`] when the iteration budget is
 /// exhausted, and propagates numerical failures of the inner steps.
-pub fn enforce_passivity(
-    model: &PoleResidueModel,
-    norm: &PerturbationNorm,
-    band_max_omega: f64,
-    config: &EnforcementConfig,
-) -> Result<EnforcementOutcome> {
-    enforce_passivity_impl(model, norm, band_max_omega, config, None)
-}
-
-/// [`enforce_passivity`] with a per-iteration observer.
-///
-/// The observer receives one [`EnforcementIteration`] after each outer
-/// iteration; numerics are identical to the unobserved loop.
-///
-/// # Errors
-///
-/// See [`enforce_passivity`].
 pub fn enforce_passivity_observed(
     model: &PoleResidueModel,
     norm: &PerturbationNorm,
     band_max_omega: f64,
     config: &EnforcementConfig,
     observer: &mut dyn EnforcementObserver,
-) -> Result<EnforcementOutcome> {
-    enforce_passivity_impl(model, norm, band_max_omega, config, Some(observer))
-}
-
-fn enforce_passivity_impl(
-    model: &PoleResidueModel,
-    norm: &PerturbationNorm,
-    band_max_omega: f64,
-    config: &EnforcementConfig,
-    mut observer: Option<&mut dyn EnforcementObserver>,
 ) -> Result<EnforcementOutcome> {
     if norm.ports() != model.ports() || norm.states() != model.order() {
         return Err(PassivityError::InvalidInput(format!(
@@ -581,33 +556,29 @@ fn enforce_passivity_impl(
         let bounded_norm = if clipped { radius.unwrap_or(delta_norm) } else { delta_norm };
 
         // Backtracking safeguard: the constraints are linearized, so a full
-        // step can overshoot and make the worst singular value larger. Halve
-        // the step until it no longer degrades the violation (or give up and
-        // take the smallest step, letting the next iteration re-linearize).
+        // step can overshoot (strong violations, strongly skewed norms) and
+        // make the worst singular value larger. Halve the step until it no
+        // longer degrades the violation (or give up and take the smallest
+        // step, letting the next iteration re-linearize).
         let mut step = 1.0_f64;
         loop {
             let scaled: Vec<f64> = delta.iter().map(|v| v * step).collect();
             let candidate = apply_perturbation(&current, &scaled)?;
             let candidate_report = assess_with_sampling(pool, &candidate, &sweep, strategy)?;
             let candidate_sigma = candidate_report.sigma_max;
-            if !config.backtracking
-                || candidate_sigma <= report.sigma_max * (1.0 + 1e-9)
-                || step <= 1.0 / 16.0
-            {
+            if candidate_sigma <= report.sigma_max * (1.0 + 1e-9) || step <= 1.0 / 16.0 {
                 let norm_increment = norm.evaluate(&scaled)?;
                 accumulated_norm += norm_increment;
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs.on_enforcement_iteration(&EnforcementIteration {
-                        iteration: iterations,
-                        sigma_before: report.sigma_max,
-                        sigma_after: candidate_sigma,
-                        step,
-                        norm_increment,
-                        constraints: cons.rows(),
-                        grid_points: candidate_report.grid.len(),
-                    });
-                    obs.on_iteration_model(iterations, &candidate);
-                }
+                observer.on_enforcement_iteration(&EnforcementIteration {
+                    iteration: iterations,
+                    sigma_before: report.sigma_max,
+                    sigma_after: candidate_sigma,
+                    step,
+                    norm_increment,
+                    constraints: cons.rows(),
+                    grid_points: candidate_report.grid.len(),
+                });
+                observer.on_iteration_model(iterations, &candidate);
                 // Divergence guard counter: backtracking bottomed out at the
                 // minimum step and the violation still grew. One such step
                 // happens in healthy runs (the next re-linearization
@@ -615,7 +586,7 @@ fn enforce_passivity_impl(
                 // pushing the model the wrong way and iterating further
                 // only inflates the perturbation.
                 let grew = candidate_sigma > report.sigma_max * (1.0 + 1e-9);
-                if config.backtracking && step <= 1.0 / 16.0 && grew {
+                if step <= 1.0 / 16.0 && grew {
                     bottomed_growth += 1;
                 } else {
                     bottomed_growth = 0;
@@ -730,7 +701,8 @@ fn symmetrize_delta(delta: &mut [f64], ports: usize, states: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{assess, sigma_max_at};
+    use crate::check::sigma_max_at;
+    use crate::grid::FrequencyGrid;
     use pim_linalg::{CMat, Complex64};
     use pim_rfdata::metrics::relative_rms_error;
 
@@ -768,7 +740,7 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        let out = enforce_passivity_observed(&model, &norm, 5000.0, &cfg, &mut ()).unwrap();
         assert!(out.report.passive);
         assert!(out.iterations >= 1 && out.iterations <= cfg.max_iterations);
         assert!(out.report.sigma_max <= 1.0 + 1e-9);
@@ -787,7 +759,7 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        let out = enforce_passivity_observed(&model, &norm, 5000.0, &cfg, &mut ()).unwrap();
         // Compare responses far from the violation: they must stay close.
         let omegas: Vec<f64> = (1..60).map(|k| k as f64 * 10.0).collect();
         let before: Vec<Complex64> =
@@ -804,7 +776,7 @@ mod tests {
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg =
             EnforcementConfig { sweep_points: 200, preserve_symmetry: true, ..Default::default() };
-        let out = enforce_passivity(&model, &norm, 6000.0, &cfg).unwrap();
+        let out = enforce_passivity_observed(&model, &norm, 6000.0, &cfg, &mut ()).unwrap();
         assert!(out.report.passive);
         for r in out.model.residues() {
             assert!((r[(0, 1)] - r[(1, 0)]).abs() < 1e-9);
@@ -820,7 +792,14 @@ mod tests {
         )
         .unwrap();
         let norm = PerturbationNorm::standard(&model).unwrap();
-        let out = enforce_passivity(&model, &norm, 1000.0, &EnforcementConfig::default()).unwrap();
+        let out = enforce_passivity_observed(
+            &model,
+            &norm,
+            1000.0,
+            &EnforcementConfig::default(),
+            &mut (),
+        )
+        .unwrap();
         assert_eq!(out.iterations, 0);
         assert!(out.report.passive);
         assert_eq!((out.accumulated_norm).to_bits(), 0.0f64.to_bits());
@@ -834,7 +813,7 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { max_iterations: 0, sweep_points: 100, ..Default::default() };
-        match enforce_passivity(&model, &norm, 5000.0, &cfg) {
+        match enforce_passivity_observed(&model, &norm, 5000.0, &cfg, &mut ()) {
             Err(PassivityError::NotConverged { iterations, sigma_max, best, diagnostics }) => {
                 assert_eq!(iterations, 0);
                 assert!(sigma_max > 1.0);
@@ -863,7 +842,7 @@ mod tests {
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
-        let plain = enforce_passivity(&model, &norm, 5000.0, &cfg).unwrap();
+        let plain = enforce_passivity_observed(&model, &norm, 5000.0, &cfg, &mut ()).unwrap();
         let mut obs = Collect(Vec::new());
         let observed = enforce_passivity_observed(&model, &norm, 5000.0, &cfg, &mut obs).unwrap();
         // Bit-identical outcome.
@@ -932,7 +911,7 @@ mod tests {
                 // refinement), is no worse than either the start or the
                 // diverged end state.
                 let best = best.expect("best model");
-                let working = crate::grid::FrequencyGrid::enforcement_log(5000.0, cfg.sweep_points);
+                let working = FrequencyGrid::enforcement_log(5000.0, cfg.sweep_points);
                 let best_sigma = assess_with_sampling(
                     pim_runtime::global(),
                     &best,
@@ -967,7 +946,7 @@ mod tests {
         }
         // With the guard disabled, the same loop burns the whole budget.
         let unguarded = EnforcementConfig { divergence_guard: 0, ..cfg.clone() };
-        match enforce_passivity(&model, &norm, 5000.0, &unguarded) {
+        match enforce_passivity_observed(&model, &norm, 5000.0, &unguarded, &mut ()) {
             Err(PassivityError::NotConverged { iterations, .. }) => {
                 assert_eq!(iterations, unguarded.max_iterations);
             }
@@ -991,7 +970,7 @@ mod tests {
             qp: QpOptions { max_condition: 1e6, ..Default::default() },
             ..Default::default()
         };
-        let out = enforce_passivity(&model, &norm, 5000.0, &cfg)
+        let out = enforce_passivity_observed(&model, &norm, 5000.0, &cfg, &mut ())
             .expect("robust loop must converge where the legacy loop diverged");
         assert!(out.report.passive);
         assert!(out.report.sigma_max <= 1.0 + 1e-9);
@@ -1016,8 +995,8 @@ mod tests {
             qp: QpOptions { max_condition: f64::INFINITY, ..Default::default() },
             ..Default::default()
         };
-        let a = enforce_passivity(&model, &norm, 5000.0, &robust).unwrap();
-        let b = enforce_passivity(&model, &norm, 5000.0, &legacy).unwrap();
+        let a = enforce_passivity_observed(&model, &norm, 5000.0, &robust, &mut ()).unwrap();
+        let b = enforce_passivity_observed(&model, &norm, 5000.0, &legacy, &mut ()).unwrap();
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.accumulated_norm.to_bits(), b.accumulated_norm.to_bits());
         for (x, y) in a.sigma_max_history.iter().zip(&b.sigma_max_history) {
@@ -1045,10 +1024,24 @@ mod tests {
         assert!(PerturbationNorm::from_gramians(vec![Mat::identity(3)], 1, 2).is_err());
         // Mismatched norm vs model is rejected by the loop.
         let other = violating_two_port();
-        assert!(enforce_passivity(&other, &norm, 100.0, &EnforcementConfig::default()).is_err());
-        assert!(enforce_passivity(&model, &norm, -1.0, &EnforcementConfig::default()).is_err());
+        assert!(enforce_passivity_observed(
+            &other,
+            &norm,
+            100.0,
+            &EnforcementConfig::default(),
+            &mut ()
+        )
+        .is_err());
+        assert!(enforce_passivity_observed(
+            &model,
+            &norm,
+            -1.0,
+            &EnforcementConfig::default(),
+            &mut ()
+        )
+        .is_err());
         let bad_cfg = EnforcementConfig { sweep_points: 3, ..Default::default() };
-        assert!(enforce_passivity(&model, &norm, 100.0, &bad_cfg).is_err());
+        assert!(enforce_passivity_observed(&model, &norm, 100.0, &bad_cfg, &mut ()).is_err());
     }
 
     #[test]
@@ -1064,8 +1057,8 @@ mod tests {
             PerturbationNorm::from_gramians(blocks, 2, 3).unwrap()
         };
         let cfg = EnforcementConfig { sweep_points: 150, max_iterations: 60, ..Default::default() };
-        let out_std = enforce_passivity(&model, &standard, 6000.0, &cfg).unwrap();
-        let out_w = enforce_passivity(&model, &heavy, 6000.0, &cfg).unwrap();
+        let out_std = enforce_passivity_observed(&model, &standard, 6000.0, &cfg, &mut ()).unwrap();
+        let out_w = enforce_passivity_observed(&model, &heavy, 6000.0, &cfg, &mut ()).unwrap();
         assert!(out_std.report.passive && out_w.report.passive);
         let dev = |m: &PoleResidueModel| -> f64 {
             let mut acc: f64 = 0.0;
@@ -1082,7 +1075,9 @@ mod tests {
             "heavily weighting element (0,0) must not increase its deviation"
         );
         let _ = sigma_max_at(&out_w.model, 900.0).unwrap();
-        let _ = assess(&out_w.model, &[0.0, 900.0]).unwrap();
+        let probe = FrequencyGrid::from_omegas(&[0.0, 900.0]);
+        let _ = assess_with_sampling(pim_runtime::global(), &out_w.model, &probe, &CrossingRefined)
+            .unwrap();
     }
 }
 

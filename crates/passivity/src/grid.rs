@@ -196,6 +196,11 @@ pub trait SamplingStrategy: fmt::Debug + Send + Sync {
     /// Hamiltonian unit-singular-value crossings (rad/s, ascending). New
     /// points are evaluated on `pool` when the strategy needs σ samples.
     ///
+    /// Alongside the grid, a strategy that sampled `σ_max` while refining
+    /// hands those samples back (one per grid point, in grid order) so the
+    /// assessment can skip re-sweeping the grid; strategies that refine
+    /// without sampling return `None`.
+    ///
     /// # Errors
     ///
     /// Propagates model-evaluation and SVD failures of strategies that
@@ -206,27 +211,7 @@ pub trait SamplingStrategy: fmt::Debug + Send + Sync {
         model: &PoleResidueModel,
         base: &FrequencyGrid,
         crossings: &[f64],
-    ) -> Result<FrequencyGrid>;
-
-    /// [`SamplingStrategy::refine`], additionally handing back the
-    /// `σ_max` samples the strategy computed while refining (one per grid
-    /// point, in grid order) so the caller can skip re-sweeping the grid.
-    /// The default returns `None` (strategies that refine without sampling);
-    /// [`Adaptive`] overrides it — its bisection rounds have already
-    /// evaluated every point.
-    ///
-    /// # Errors
-    ///
-    /// See [`SamplingStrategy::refine`].
-    fn refine_with_sigma(
-        &self,
-        pool: &pim_runtime::ThreadPool,
-        model: &PoleResidueModel,
-        base: &FrequencyGrid,
-        crossings: &[f64],
-    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
-        Ok((self.refine(pool, model, base, crossings)?, None))
-    }
+    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)>;
 }
 
 /// No refinement: assessments sweep exactly the base grid.
@@ -248,8 +233,8 @@ impl SamplingStrategy for FixedLog {
         _model: &PoleResidueModel,
         base: &FrequencyGrid,
         _crossings: &[f64],
-    ) -> Result<FrequencyGrid> {
-        Ok(base.clone())
+    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+        Ok((base.clone(), None))
     }
 }
 
@@ -298,8 +283,8 @@ impl SamplingStrategy for CrossingRefined {
         _model: &PoleResidueModel,
         base: &FrequencyGrid,
         crossings: &[f64],
-    ) -> Result<FrequencyGrid> {
-        Ok(base.merged_with(CrossingRefined::crossing_points(crossings)))
+    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+        Ok((base.merged_with(CrossingRefined::crossing_points(crossings)), None))
     }
 }
 
@@ -372,16 +357,6 @@ impl SamplingStrategy for Adaptive {
     }
 
     fn refine(
-        &self,
-        pool: &pim_runtime::ThreadPool,
-        model: &PoleResidueModel,
-        base: &FrequencyGrid,
-        crossings: &[f64],
-    ) -> Result<FrequencyGrid> {
-        Ok(self.refine_with_sigma(pool, model, base, crossings)?.0)
-    }
-
-    fn refine_with_sigma(
         &self,
         pool: &pim_runtime::ThreadPool,
         model: &PoleResidueModel,
@@ -572,7 +547,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         let model = narrow_peak_model(1000.0, 50.0);
         let base = FrequencyGrid::from_omegas(&omegas);
-        let refined = CrossingRefined.refine(&pool, &model, &base, &crossings).unwrap();
+        let refined = CrossingRefined.refine(&pool, &model, &base, &crossings).unwrap().0;
         assert_eq!(refined.len(), oracle.len());
         for (a, b) in refined.points().iter().zip(&oracle) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
@@ -587,7 +562,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         let model = narrow_peak_model(1000.0, 50.0);
         let base = FrequencyGrid::from_omegas(&[0.0, 10.0, 100.0]);
-        let refined = FixedLog.refine(&pool, &model, &base, &[9.0, 11.0]).unwrap();
+        let refined = FixedLog.refine(&pool, &model, &base, &[9.0, 11.0]).unwrap().0;
         assert_eq!(refined, base);
         assert_eq!(FixedLog.name(), "fixed-log");
     }
@@ -622,9 +597,9 @@ mod tests {
             grid.points().iter().map(|&w| sigma_max_at(&model, w).unwrap()).fold(0.0_f64, f64::max)
         };
         let coarse_max = sigma_on(&base);
-        let crossing_refined = CrossingRefined.refine(&pool, &model, &base, &crossings).unwrap();
+        let crossing_refined = CrossingRefined.refine(&pool, &model, &base, &crossings).unwrap().0;
         let crossing_max = sigma_on(&crossing_refined);
-        let refined = Adaptive::default().refine(&pool, &model, &base, &crossings).unwrap();
+        let refined = Adaptive::default().refine(&pool, &model, &base, &crossings).unwrap().0;
         let refined_max = sigma_on(&refined);
         // The true peak, located by brute force on a very dense local grid.
         let true_peak = (0..20_000)
@@ -644,7 +619,7 @@ mod tests {
         assert!(refined.count_of(PointProvenance::Bisection) > 0);
         // Deterministic across thread counts (bit-identical grid).
         let wide = ThreadPool::new(4);
-        let again = Adaptive::default().refine(&wide, &model, &base, &crossings).unwrap();
+        let again = Adaptive::default().refine(&wide, &model, &base, &crossings).unwrap().0;
         assert_eq!(again.len(), refined.len());
         for (a, b) in again.points().iter().zip(refined.points()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -665,7 +640,7 @@ mod tests {
         let base = FrequencyGrid::from_omegas(
             &(0..40).map(|k| 10.0 * (k as f64 + 1.0)).collect::<Vec<_>>(),
         );
-        let refined = Adaptive::default().refine(&pool, &smooth, &base, &[]).unwrap();
+        let refined = Adaptive::default().refine(&pool, &smooth, &base, &[]).unwrap().0;
         assert_eq!(refined.len(), base.len(), "smooth sub-floor model needs no refinement");
         // The cap is a hard ceiling even for a violating model.
         let capped = Adaptive { max_points: 25, ..Adaptive::default() };
@@ -673,7 +648,7 @@ mod tests {
         let wide_base = FrequencyGrid::from_omegas(
             &(0..20).map(|k| 10f64.powf(4.0 + 4.0 * k as f64 / 19.0)).collect::<Vec<_>>(),
         );
-        let refined = capped.refine(&pool, &model, &wide_base, &[]).unwrap();
+        let refined = capped.refine(&pool, &model, &wide_base, &[]).unwrap().0;
         assert!(refined.len() <= 25 + 2, "cap exceeded: {}", refined.len());
     }
 

@@ -16,8 +16,8 @@
 //!   parameterized by the per-element Gramians that define the perturbation
 //!   norm, so the *same* code runs both the standard L2 enforcement (eq. 10)
 //!   and the sensitivity-weighted enforcement of the paper (eq. 20–21, built
-//!   by `pim-core`), and it reports every outer iteration to an optional
-//!   [`enforce::EnforcementObserver`];
+//!   by `pim-core`), and it reports every outer iteration to an
+//!   [`enforce::EnforcementObserver`] (`()` when unobserved);
 //! * [`norm`] — the pluggable norm-construction layer: [`norm::NormKind`]
 //!   names the norm families, [`norm::NormBuilder`] abstracts building a
 //!   [`enforce::PerturbationNorm`] for a model, and [`norm::StandardNorm`]
@@ -41,12 +41,12 @@ pub mod norm;
 pub mod qp;
 
 pub use check::{
-    assess, assess_on, assess_with_sampling, hamiltonian_crossings, is_passive,
-    singular_value_sweep, singular_value_sweep_on, PassivityReport, ViolationBand,
+    assess_with_sampling, hamiltonian_crossings, is_passive, singular_value_sweep_with,
+    PassivityReport, ViolationBand,
 };
 pub use enforce::{
-    enforce_passivity, enforce_passivity_observed, EnforcementConfig, EnforcementIteration,
-    EnforcementObserver, EnforcementOutcome, PerturbationNorm, RobustnessInfo, TrustRegionConfig,
+    enforce_passivity_observed, EnforcementConfig, EnforcementIteration, EnforcementObserver,
+    EnforcementOutcome, PerturbationNorm, RobustnessInfo, TrustRegionConfig,
 };
 pub use grid::{
     Adaptive, CrossingRefined, FixedLog, FrequencyGrid, PointProvenance, SamplingStrategy,

@@ -234,38 +234,22 @@ impl BlockQpFactors {
     }
 }
 
-/// Solves the block-diagonal Gramian-weighted QP.
+/// Solves the block-diagonal Gramian-weighted QP with pre-factored blocks.
 ///
-/// `blocks` holds one symmetric positive-definite matrix per element (all of
-/// identical size); `f` and `g` define the inequality constraints
-/// `F·x ≤ g`. The blocks are factored on every call — use
-/// [`BlockQpFactors`] + [`solve_block_qp_factored`] to amortize the
-/// factorization across repeated solves with the same Gramians.
+/// `factors` holds one symmetric positive-definite matrix per element (all
+/// of identical size), factored once by [`BlockQpFactors::new`] or
+/// [`BlockQpFactors::new_adaptive`] so repeated solves with the same
+/// Gramians amortize the factorization; `f` and `g` define the inequality
+/// constraints `F·x ≤ g`.
+///
+/// `options.regularization` is **not** consulted here: the Tikhonov term is
+/// baked into `factors` at construction time; only the iteration/tolerance
+/// options apply.
 ///
 /// # Errors
 ///
 /// Returns [`PassivityError::InvalidInput`] on dimension mismatches and
-/// [`PassivityError::Linalg`] when a Gramian block is singular even after
-/// regularization.
-pub fn solve_block_qp(
-    blocks: &[Mat],
-    f: &Mat,
-    g: &[f64],
-    options: &QpOptions,
-) -> Result<QpSolution> {
-    let factors = BlockQpFactors::new(blocks, options.regularization)?;
-    solve_block_qp_factored(&factors, f, g, options)
-}
-
-/// Solves the block-diagonal Gramian-weighted QP with pre-factored blocks.
-///
-/// `options.regularization` is **not** consulted here: the Tikhonov term is
-/// baked into `factors` at [`BlockQpFactors::new`] time (that is the whole
-/// point of pre-factoring); only the iteration/tolerance options apply.
-///
-/// # Errors
-///
-/// See [`solve_block_qp`].
+/// propagates [`PassivityError::Linalg`] failures of the block solves.
 pub fn solve_block_qp_factored(
     factors: &BlockQpFactors,
     f: &Mat,
@@ -368,11 +352,18 @@ pub fn solve_block_qp_factored(
 mod tests {
     use super::*;
 
+    /// Factors `blocks` with the default regularization and solves.
+    fn factor_and_solve(blocks: &[Mat], f: &Mat, g: &[f64]) -> Result<QpSolution> {
+        let options = QpOptions::default();
+        let factors = BlockQpFactors::new(blocks, options.regularization)?;
+        solve_block_qp_factored(&factors, f, g, &options)
+    }
+
     #[test]
     fn unconstrained_problem_returns_zero() {
         let blocks = vec![Mat::identity(2)];
         let f = Mat::zeros(0, 2);
-        let sol = solve_block_qp(&blocks, &f, &[], &QpOptions::default()).unwrap();
+        let sol = factor_and_solve(&blocks, &f, &[]).unwrap();
         assert_eq!(sol.x, vec![0.0, 0.0]);
         assert_eq!((sol.objective).to_bits(), 0.0f64.to_bits());
     }
@@ -383,7 +374,7 @@ mod tests {
         // projection x = -a/||a||^2 = [-0.5, -0.5].
         let blocks = vec![Mat::identity(1), Mat::identity(1)];
         let f = Mat::from_rows(&[&[1.0, 1.0]]);
-        let sol = solve_block_qp(&blocks, &f, &[-1.0], &QpOptions::default()).unwrap();
+        let sol = factor_and_solve(&blocks, &f, &[-1.0]).unwrap();
         assert!((sol.x[0] + 0.5).abs() < 1e-8);
         assert!((sol.x[1] + 0.5).abs() < 1e-8);
         assert!((sol.objective - 0.5).abs() < 1e-7);
@@ -395,7 +386,7 @@ mod tests {
         // must happen along the cheap coordinate x2.
         let blocks = vec![Mat::from_diag(&[10.0]), Mat::from_diag(&[0.1])];
         let f = Mat::from_rows(&[&[1.0, 1.0]]);
-        let sol = solve_block_qp(&blocks, &f, &[-1.0], &QpOptions::default()).unwrap();
+        let sol = factor_and_solve(&blocks, &f, &[-1.0]).unwrap();
         assert!((sol.x[0] + sol.x[1] + 1.0).abs() < 1e-6, "constraint must be active");
         assert!(sol.x[1].abs() > 50.0 * sol.x[0].abs());
     }
@@ -405,7 +396,7 @@ mod tests {
         let blocks = vec![Mat::identity(2)];
         let f = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         // Both constraints are satisfied at x = 0 (g >= 0): optimum stays 0.
-        let sol = solve_block_qp(&blocks, &f, &[1.0, 2.0], &QpOptions::default()).unwrap();
+        let sol = factor_and_solve(&blocks, &f, &[1.0, 2.0]).unwrap();
         assert!(sol.x.iter().all(|v| v.abs() < 1e-12));
         assert!(sol.multipliers.iter().all(|&l| l.to_bits() == 0.0f64.to_bits()));
     }
@@ -415,7 +406,7 @@ mod tests {
         let blocks = vec![Mat::identity(3)];
         let f = Mat::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0], &[1.0, 0.0, 1.0]]);
         let g = vec![-1.0, -0.5, -2.0];
-        let sol = solve_block_qp(&blocks, &f, &g, &QpOptions::default()).unwrap();
+        let sol = factor_and_solve(&blocks, &f, &g).unwrap();
         let fx = f.matvec(&sol.x).unwrap();
         for (lhs, rhs) in fx.iter().zip(&g) {
             assert!(*lhs <= rhs + 1e-6, "constraint violated: {lhs} > {rhs}");
@@ -458,10 +449,10 @@ mod tests {
     #[test]
     fn input_validation() {
         let blocks = vec![Mat::identity(2)];
-        assert!(solve_block_qp(&[], &Mat::zeros(1, 2), &[0.0], &QpOptions::default()).is_err());
-        assert!(solve_block_qp(&blocks, &Mat::zeros(1, 3), &[0.0], &QpOptions::default()).is_err());
-        assert!(solve_block_qp(&blocks, &Mat::zeros(2, 2), &[0.0], &QpOptions::default()).is_err());
+        assert!(factor_and_solve(&[], &Mat::zeros(1, 2), &[0.0]).is_err());
+        assert!(factor_and_solve(&blocks, &Mat::zeros(1, 3), &[0.0]).is_err());
+        assert!(factor_and_solve(&blocks, &Mat::zeros(2, 2), &[0.0]).is_err());
         let bad = vec![Mat::identity(2), Mat::identity(3)];
-        assert!(solve_block_qp(&bad, &Mat::zeros(1, 5), &[0.0], &QpOptions::default()).is_err());
+        assert!(factor_and_solve(&bad, &Mat::zeros(1, 5), &[0.0]).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! A dependency-free (std-only) work-stealing thread pool with a
 //! deterministic data-parallel API, built for the embarrassingly parallel
 //! levels of the macromodeling workflow: independent scenario presets in
-//! [`Pipeline::sweep`](https://docs.rs/pim-core), independent frequency
+//! [`Pipeline::sweep_with`](https://docs.rs/pim-core), independent frequency
 //! samples in the passivity assessment grids, and independent Gaussian draws
 //! in the Monte Carlo sensitivity estimator.
 //!

@@ -6,8 +6,8 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use pim_repro::core_flow::{FlowConfig, Pipeline, Stage, StandardScenario, TraceObserver};
-use pim_repro::passivity::check::assess_on;
-use pim_repro::passivity::grid::{Adaptive, FrequencyGrid};
+use pim_repro::passivity::check::assess_with_sampling;
+use pim_repro::passivity::grid::{Adaptive, FixedLog, FrequencyGrid};
 use pim_repro::passivity::NormKind;
 use pim_repro::PimError;
 
@@ -103,7 +103,8 @@ fn main() -> Result<(), PimError> {
         band_max_omega,
         FlowConfig::default().enforcement.sweep_points * 16,
     );
-    let default_audit = assess_on(report.final_model(), &audit)?;
+    let pool = pim_repro::runtime::global();
+    let default_audit = assess_with_sampling(pool, report.final_model(), &audit, &FixedLog)?;
     println!(
         "16x-grid audit (default sampling):  sigma_max {:.6} -> {}",
         default_audit.sigma_max,
@@ -112,7 +113,8 @@ fn main() -> Result<(), PimError> {
     let adaptive_report = Pipeline::from_scenario(&scenario, FlowConfig::default())?
         .sampling(Adaptive::default())
         .report()?;
-    let adaptive_audit = assess_on(adaptive_report.final_model(), &audit)?;
+    let adaptive_audit =
+        assess_with_sampling(pool, adaptive_report.final_model(), &audit, &FixedLog)?;
     println!(
         "16x-grid audit (adaptive sampling): sigma_max {:.6} -> {} \
          (target-impedance error {:.1}%)",

@@ -7,12 +7,11 @@
 //!
 //! # Example
 //!
-//! The staged [`Pipeline`](core_flow::Pipeline) is the primary entry point:
+//! The staged [`Pipeline`](core_flow::Pipeline) is the entry point of the flow:
 //! build a scenario (here the reduced synthetic PDN), then run exactly the
 //! stages you need — each call returns an owned artifact and caches it, so
 //! later stages (or a final [`report()`](core_flow::Pipeline::report)) reuse
-//! the work. The one-shot [`core_flow::run_flow`] remains as a compatibility
-//! wrapper producing the identical `FlowReport`.
+//! the work. `Pipeline::from_data(..)?.report()` is the one-shot run.
 //!
 //! ```
 //! use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario};
@@ -54,8 +53,8 @@
 //! enforcement and the standard-norm baseline — is
 //! [`core_flow::Pipeline::report`]
 //! (`cargo run --release --example quickstart`), and
-//! [`core_flow::Pipeline::sweep`] batches it over
-//! [`core_flow::ScenarioPreset`]s.
+//! [`core_flow::Pipeline::sweep_with`] batches it over
+//! [`core_flow::ScenarioPreset`]s on a thread pool.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -99,7 +99,7 @@ fn dense_decap_fixture_replays_to_convergence() {
 fn seeded_corpus_run_classifies_consistently_and_reproduces() {
     let config = pim_bench::corpus_smoke_config();
     let seeds: Vec<u64> = (0..4).collect();
-    let verdicts = Corpus::run(&config, &seeds);
+    let verdicts = Corpus::run_with(pim_repro::runtime::global(), &config, &seeds);
     assert_eq!(verdicts.len(), seeds.len());
     for (v, &seed) in verdicts.iter().zip(&seeds) {
         assert_eq!(v.seed, seed);
@@ -129,7 +129,7 @@ fn seeded_corpus_run_classifies_consistently_and_reproduces() {
     }
     // The corpus is deterministic: the same (config, seeds) run reproduces
     // every verdict, bit for bit (PartialEq covers the f64 fields).
-    let again = Corpus::run(&config, &seeds);
+    let again = Corpus::run_with(pim_repro::runtime::global(), &config, &seeds);
     assert_eq!(verdicts, again);
 }
 

@@ -18,8 +18,8 @@
 //! numerics changed and the fixture story needs revisiting).
 
 use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario, TraceObserver};
-use pim_repro::passivity::check::{assess_on, assess_with_sampling};
-use pim_repro::passivity::grid::{Adaptive, CrossingRefined, FrequencyGrid};
+use pim_repro::passivity::check::assess_with_sampling;
+use pim_repro::passivity::grid::{Adaptive, CrossingRefined, FixedLog, FrequencyGrid};
 use pim_repro::passivity::NormKind;
 use pim_repro::runtime::ThreadPool;
 
@@ -93,7 +93,9 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
     assert!(out.report.passive, "the adaptive enforcement must certify passivity");
     let audit =
         FrequencyGrid::enforcement_log(band_max_omega, config.enforcement.sweep_points * 16);
-    let audit_report = assess_on(report.final_model(), &audit).unwrap();
+    let audit_report =
+        assess_with_sampling(pim_repro::runtime::global(), report.final_model(), &audit, &FixedLog)
+            .unwrap();
     assert!(
         audit_report.sigma_max <= 1.0 + 1e-8,
         "the delivered model must stay passive on the 16x audit grid \
@@ -145,7 +147,9 @@ fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
     let band_max_omega = sc.data.grid().max_omega();
     let audit =
         FrequencyGrid::enforcement_log(band_max_omega, config.enforcement.sweep_points * 16);
-    let audit_report = assess_on(report.final_model(), &audit).unwrap();
+    let audit_report =
+        assess_with_sampling(pim_repro::runtime::global(), report.final_model(), &audit, &FixedLog)
+            .unwrap();
     assert!(
         audit_report.sigma_max <= 1.0 + 1e-8,
         "paper-scenario delivered model must stay passive on the 16x audit grid \

@@ -1,10 +1,10 @@
-//! Integration tests of the staged `Pipeline` API: bit-identity with the
-//! legacy `run_flow`, the preset sweep, and the Fig. 5 enforcement-trace
-//! regression fixture.
+//! Integration tests of the staged `Pipeline` API: bit-identity across
+//! stage orders and observers, the preset sweep, and the Fig. 5
+//! enforcement-trace regression fixture.
 
 use pim_repro::core_flow::{
-    run_flow, CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline,
-    ScenarioPreset, Stage, StandardScenario, TraceObserver,
+    CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, ScenarioPreset, Stage,
+    StandardScenario, TraceObserver,
 };
 use pim_repro::linalg::{CMat, Complex64, Mat};
 use pim_repro::passivity::{EnforcementOutcome, NormKind, PassivityError};
@@ -127,20 +127,20 @@ fn assert_report_bits(a: &FlowReport, b: &FlowReport) {
     }
 }
 
-/// The acceptance test of the API redesign: running the stages by hand — in
+/// The acceptance test of the staged API: running the stages by hand — in
 /// a scrambled order, with an observer attached — and assembling the report
-/// must reproduce `run_flow`'s `FlowReport` bit for bit.
+/// must reproduce a fresh, unobserved `Pipeline::report()` bit for bit.
 #[test]
-fn staged_pipeline_is_bit_identical_to_run_flow() {
+fn staged_pipeline_is_bit_identical_to_a_fresh_report() {
     let sc = StandardScenario::reduced().unwrap();
     let config = quick_config();
-    let legacy = run_flow(&sc.data, &sc.network, sc.observation_port, &config).unwrap();
+    let fresh = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
 
     let mut trace = TraceObserver::new();
     let staged = {
         let mut pipeline =
             Pipeline::from_scenario(&sc, config.clone()).unwrap().with_observer(&mut trace);
-        // Deliberately not the run_flow order: enforcement first (pulling in
+        // Deliberately not the report order: enforcement first (pulling in
         // its prerequisites lazily), then the remaining stages from cache.
         let enf = pipeline.enforce(NormKind::SensitivityWeighted).unwrap();
         assert!(enf.outcome.is_some(), "reduced scenario needs enforcement");
@@ -151,7 +151,7 @@ fn staged_pipeline_is_bit_identical_to_run_flow() {
         let _ = pipeline.assess().unwrap();
         pipeline.report().unwrap()
     };
-    assert_report_bits(&legacy, &staged);
+    assert_report_bits(&fresh, &staged);
 
     // The observer saw the enforcement iterations of both norms and they
     // reconcile with the outcomes in the report.
@@ -204,7 +204,7 @@ fn assert_trace_bits(a: &TraceObserver, b: &TraceObserver, what: &str) {
     }
 }
 
-/// The acceptance test of the parallel runtime: `Pipeline::sweep` over the
+/// The acceptance test of the parallel runtime: `Pipeline::sweep_with` over the
 /// registry presets on a multi-thread pool must be **bit-identical** to the
 /// serial sweep (float-bit `FlowReport` and trace comparison), and every
 /// swept scenario must reproduce the paper's weighted-beats-standard fit
