@@ -158,7 +158,6 @@ fn bench_figures(c: &mut Criterion) {
             max_iterations: 60,
             ..Default::default()
         },
-        run_standard_enforcement: true,
         ..FlowConfig::default()
     };
     let mut sweeps = c.benchmark_group("runtime");

@@ -42,13 +42,16 @@ fn main() {
     for strategy in ["crossing-refined", "adaptive"] {
         let mut trace = TraceObserver::new();
         let t0 = Instant::now();
-        let pipeline =
-            Pipeline::from_scenario(&scenario, config.clone()).expect("pipeline construction");
-        let pipeline = match strategy {
-            "adaptive" => pipeline.sampling(Adaptive::default()),
-            _ => pipeline.sampling(CrossingRefined),
+        let mut run_config = config.clone();
+        run_config.enforcement = match strategy {
+            "adaptive" => run_config.enforcement.sampling(Adaptive::default()),
+            _ => run_config.enforcement.sampling(CrossingRefined),
         };
-        let report = pipeline.with_observer(&mut trace).report().expect("macromodeling flow");
+        let report = Pipeline::from_scenario(&scenario, run_config)
+            .expect("pipeline construction")
+            .with_observer(&mut trace)
+            .report()
+            .expect("macromodeling flow");
         let seconds = t0.elapsed().as_secs_f64();
         let weighted = trace.trace(NormKind::SensitivityWeighted);
         let growth = trace.grid_growth(NormKind::SensitivityWeighted);

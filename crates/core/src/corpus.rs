@@ -34,8 +34,7 @@ use crate::{CoreError, Result};
 use pim_circuit::board::{build_board, StackStage, SyntheticPdn};
 use pim_circuit::generator::{BoardGenerator, DecapPart, DieModel, GeneratedBoard, VrmModel};
 use pim_circuit::PdnBoardSpec;
-use pim_passivity::check::assess_with_sampling;
-use pim_passivity::grid::{Adaptive, FixedLog, FrequencyGrid};
+use pim_passivity::grid::Adaptive;
 use pim_passivity::{EnforcementConfig, PassivityError};
 use pim_pdn::{Termination, TerminationNetwork};
 use pim_rfdata::NetworkData;
@@ -151,7 +150,6 @@ pub fn corpus_flow_config(n_poles: usize) -> FlowConfig {
             ..Default::default()
         }
         .sampling(Adaptive::default()),
-        run_standard_enforcement: true,
         ..FlowConfig::default()
     }
 }
@@ -331,27 +329,12 @@ impl CorpusCase {
         };
 
         // Certification gate 1: σ_max ≤ 1 + tol on a dense fixed-log audit
-        // grid the enforcement never constrained. The pipeline's accuracy
-        // contract sweeps the identical grid (parameters synced above), so
-        // reuse it; recompute only when the contract was disabled.
-        let audit = match &report.contract {
-            Some(c) => (c.audit_sigma_max, None),
-            None => {
-                let audit_grid = FrequencyGrid::enforcement_log(
-                    data.grid().max_omega(),
-                    self.flow.enforcement.sweep_points * self.audit_multiplier,
-                );
-                let pool = pim_runtime::global();
-                match assess_with_sampling(pool, report.final_model(), &audit_grid, &FixedLog) {
-                    Ok(a) => (a.sigma_max, Some(a.omega_at_sigma_max)),
-                    Err(e) => {
-                        verdict.detail = format!("audit: {e}");
-                        return verdict;
-                    }
-                }
-            }
+        // grid the enforcement never constrained — the grid the pipeline's
+        // accuracy contract sweeps (parameters synced above).
+        let Some(audit_sigma_max) = report.contract.as_ref().map(|c| c.audit_sigma_max) else {
+            verdict.detail = "flow: the report carries no accuracy contract".into();
+            return verdict;
         };
-        let (audit_sigma_max, audit_omega) = audit;
         verdict.audit_sigma_max = Some(audit_sigma_max);
         verdict.rung = Some(
             report.recovery.as_ref().and_then(|r| r.delivered).unwrap_or(RecoveryRung::Primary),
@@ -387,10 +370,8 @@ impl CorpusCase {
             verdict.class = CorpusClass::Adverse;
             let mut reasons = Vec::new();
             if !audit_pass {
-                let at =
-                    audit_omega.map_or(String::new(), |omega| format!(" at omega {omega:.3e}"));
                 reasons.push(format!(
-                    "audit sigma_max {:.9} > 1+{:.0e}{at}",
+                    "audit sigma_max {:.9} > 1+{:.0e}",
                     audit_sigma_max, self.sigma_tolerance
                 ));
             }

@@ -11,14 +11,14 @@
 //!    (eq. 15–17);
 //! 5. passivity assessment of the weighted model and, when violations exist,
 //!    passivity enforcement with the sensitivity-weighted norm (eq. 18–21) —
-//!    and optionally with the standard L2 norm, which is the comparison the
-//!    paper uses to demonstrate the accuracy loss of unweighted enforcement.
+//!    and with the standard L2 norm, which is the comparison the paper uses
+//!    to demonstrate the accuracy loss of unweighted enforcement.
 //!
 //! This module holds the flow's configuration and report types; the staged
 //! [`Pipeline`](crate::pipeline::Pipeline) runs it, and
 //! `Pipeline::from_data(..)?.report()` is the one-shot form.
 
-use crate::recovery::{AccuracyContract, ContractConfig, RecoveryConfig, RecoveryReport};
+use crate::recovery::{AccuracyContract, ContractConfig, RecoveryReport};
 use crate::Result;
 use pim_passivity::enforce::{EnforcementConfig, EnforcementOutcome};
 use pim_pdn::{target_impedance, TargetImpedance, TerminationNetwork};
@@ -38,14 +38,9 @@ pub struct FlowConfig {
     /// no frequency is weighted exactly zero.
     pub weight_floor: f64,
     /// Passivity enforcement configuration (shared by the weighted and the
-    /// baseline enforcement).
+    /// baseline enforcement). Its sampling strategy also refines the
+    /// assessment stage's grid.
     pub enforcement: EnforcementConfig,
-    /// Also run the standard (unweighted-norm) enforcement on the weighted
-    /// model, to reproduce the paper's comparison (Fig. 5).
-    pub run_standard_enforcement: bool,
-    /// The recovery ladder engaged when the weighted enforcement diverges
-    /// (see [`crate::recovery`]).
-    pub recovery: RecoveryConfig,
     /// The accuracy contract attached to delivered models (see
     /// [`crate::recovery::ContractConfig`]).
     pub contract: ContractConfig,
@@ -58,8 +53,6 @@ impl Default for FlowConfig {
             sensitivity_order: 8,
             weight_floor: 1e-2,
             enforcement: EnforcementConfig::default(),
-            run_standard_enforcement: true,
-            recovery: RecoveryConfig::default(),
             contract: ContractConfig::default(),
         }
     }
@@ -99,7 +92,7 @@ pub struct FlowReport {
     /// the weighted model was already passive).
     pub weighted_enforcement: Option<EnforcementOutcome>,
     /// Outcome of the standard-norm passivity enforcement on the same model
-    /// (`None` when disabled or the model was already passive). A
+    /// (`None` when the model was already passive). A
     /// `NotConverged` failure is reported as `None` as well — the baseline is
     /// only a comparison curve.
     pub standard_enforcement: Option<EnforcementOutcome>,
@@ -114,8 +107,9 @@ pub struct FlowReport {
     /// Record of the recovery ladder, when it engaged (`None` on the happy
     /// path where the primary weighted enforcement delivered).
     pub recovery: Option<RecoveryReport>,
-    /// The accuracy contract of the delivered model (`None` under
-    /// [`crate::recovery::ContractPolicy::Off`]).
+    /// The accuracy contract of the delivered model. Always `Some` on a
+    /// report [`Pipeline::report`](crate::pipeline::Pipeline::report)
+    /// delivers.
     pub contract: Option<AccuracyContract>,
 }
 

@@ -14,11 +14,11 @@
 //!   norm (eq. 21);
 //! * [`pipeline`] — the staged, observable macromodeling pipeline: typed
 //!   stage handles (`sensitivity → fit → weighting_model → assess →
-//!   enforce`), each returning an owned artifact, a
-//!   [`pipeline::Pipeline::sampling`] builder plugging a
-//!   `pim_passivity::grid::SamplingStrategy` into the assessment and
-//!   enforcement grids, plus the [`pipeline::Pipeline::sweep_with`] batch
-//!   runner over [`scenario::ScenarioPreset`]s;
+//!   enforce`), each returning an owned artifact, plus the
+//!   [`pipeline::Pipeline::sweep_with`] batch runner over
+//!   [`scenario::ScenarioPreset`]s; the `pim_passivity::grid::SamplingStrategy`
+//!   of `FlowConfig::enforcement` drives the assessment and enforcement
+//!   grids;
 //! * [`flow`] — the flow's configuration, report and evaluation types
 //!   ([`flow::FlowConfig`], [`flow::FlowReport`]); the one-shot run is
 //!   `Pipeline::from_data(..)?.report()`;
@@ -58,10 +58,7 @@ pub use pipeline::{
     AssessmentArtifact, EnforcementArtifact, FitArtifact, FitKind, Pipeline, SensitivityArtifact,
     SweepEntry,
 };
-pub use recovery::{
-    AccuracyContract, ContractConfig, ContractPolicy, RecoveryConfig, RecoveryReport, RecoveryRung,
-    RungAttempt,
-};
+pub use recovery::{AccuracyContract, ContractConfig, RecoveryReport, RecoveryRung, RungAttempt};
 pub use scenario::{ScenarioConfig, ScenarioPreset, StandardScenario};
 pub use weighting::{BlendedNorm, SensitivityWeightedNorm};
 
@@ -85,10 +82,6 @@ pub enum CoreError {
     Pdn(pim_pdn::PdnError),
     /// Synthetic circuit failure.
     Circuit(pim_circuit::CircuitError),
-    /// The delivered model failed its accuracy contract under
-    /// [`recovery::ContractPolicy::Refuse`]; the contract carries what was
-    /// measured.
-    ContractViolation(Box<recovery::AccuracyContract>),
     /// Invalid configuration or inconsistent inputs.
     InvalidInput(String),
 }
@@ -103,7 +96,6 @@ impl fmt::Display for CoreError {
             CoreError::Passivity(e) => write!(f, "passivity failure: {e}"),
             CoreError::Pdn(e) => write!(f, "pdn analysis failure: {e}"),
             CoreError::Circuit(e) => write!(f, "circuit failure: {e}"),
-            CoreError::ContractViolation(c) => write!(f, "accuracy contract violated: {c}"),
             CoreError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }
@@ -119,7 +111,6 @@ impl Error for CoreError {
             CoreError::Passivity(e) => Some(e),
             CoreError::Pdn(e) => Some(e),
             CoreError::Circuit(e) => Some(e),
-            CoreError::ContractViolation(_) => None,
             CoreError::InvalidInput(_) => None,
         }
     }

@@ -28,7 +28,8 @@
 use crate::flow::{evaluate_model, FlowConfig, FlowReport};
 use crate::observer::{FlowObserver, Stage, TraceObserver};
 use crate::recovery::{
-    AccuracyContract, ContractPolicy, RecoveryReport, RecoveryRung, RungAttempt,
+    AccuracyContract, RecoveryReport, RecoveryRung, RungAttempt, BLEND_ALPHA, EXTRA_ITERATIONS,
+    MAX_IMPEDANCE_ERROR, MIN_ORDER, ORDER_REDUCTION, REGULARIZED_MAX_CONDITION,
 };
 use crate::scenario::{ScenarioPreset, StandardScenario};
 use crate::weighting::{BlendedNorm, SensitivityWeightedNorm};
@@ -38,7 +39,7 @@ use pim_passivity::enforce::{
     enforce_passivity_observed, EnforcementConfig, EnforcementIteration, EnforcementObserver,
     EnforcementOutcome,
 };
-use pim_passivity::grid::{FixedLog, FrequencyGrid, SamplingStrategy};
+use pim_passivity::grid::{FixedLog, FrequencyGrid};
 use pim_passivity::norm::{NormBuilder, NormKind, StandardNorm};
 use pim_passivity::{NotConvergedDiagnostics, PassivityError};
 use pim_pdn::sensitivity::sensitivity_to_weights;
@@ -217,26 +218,6 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Builder: replaces the sampling strategy behind the assessment stage
-    /// and all enforcement grids (working sweep, convergence double-check,
-    /// final verification). The default is
-    /// [`pim_passivity::grid::CrossingRefined`], which reproduces the
-    /// historical grids bit for bit; switch to
-    /// [`pim_passivity::grid::Adaptive`] to chase violation bands narrower
-    /// than the grid spacing.
-    ///
-    /// Cached assessment and enforcement artifacts are invalidated: they
-    /// were computed under the previous strategy.
-    #[must_use]
-    pub fn sampling(mut self, strategy: impl SamplingStrategy + 'static) -> Self {
-        self.config.enforcement = self.config.enforcement.clone().sampling(strategy);
-        self.assessment = None;
-        self.enforcements.clear();
-        self.failed_enforcements.clear();
-        self.recovery = None;
-        self
-    }
-
     /// The flow configuration this pipeline runs with.
     pub fn config(&self) -> &FlowConfig {
         &self.config
@@ -343,8 +324,9 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Assessment stage: Hamiltonian test plus singular-value sweep of the
-    /// weighted macromodel on the data grid, refined by the configured
-    /// [`SamplingStrategy`] (see [`Pipeline::sampling`]).
+    /// weighted macromodel on the data grid, refined by the sampling strategy
+    /// of the enforcement configuration
+    /// ([`EnforcementConfig::sampling`](pim_passivity::EnforcementConfig::sampling)).
     ///
     /// # Errors
     ///
@@ -390,8 +372,7 @@ impl<'a> Pipeline<'a> {
             }
             NormKind::Blended => {
                 let weighting = self.weighting_model()?;
-                let alpha = self.config.recovery.blend_alpha;
-                self.enforce_with(&BlendedNorm::new(weighting, alpha))
+                self.enforce_with(&BlendedNorm::new(weighting, BLEND_ALPHA))
             }
             NormKind::Custom(name) => Err(CoreError::InvalidInput(format!(
                 "custom norm '{name}' has no built-in builder; use Pipeline::enforce_with"
@@ -509,20 +490,20 @@ impl<'a> Pipeline<'a> {
     }
 
     /// The weighted enforcement with the recovery ladder behind it: on a
-    /// [`PassivityError::NotConverged`] primary failure (and with
-    /// `config.recovery.enabled`) the pipeline retries under the escalation
-    /// policy of [`crate::recovery`] — regularized norm, blended norm,
-    /// reduced order — and returns the first rung that delivers, together
-    /// with the [`RecoveryReport`] recording every attempt.
+    /// [`PassivityError::NotConverged`] primary failure the pipeline retries
+    /// under the escalation policy of [`crate::recovery`] — regularized
+    /// norm, blended norm, reduced order — and returns the first rung that
+    /// delivers, together with the [`RecoveryReport`] recording every
+    /// attempt.
     ///
     /// Returns `(outcome, None)` on the happy path (the ladder never
     /// engaged; `outcome` is `None` when the model was already passive).
     ///
     /// # Errors
     ///
-    /// When the ladder is disabled or exhausted, the primary
-    /// `NotConverged` failure (with its cache-time-audited diagnostics) is
-    /// returned; non-deterministic rung failures propagate as-is.
+    /// When the ladder is exhausted, the primary `NotConverged` failure
+    /// (with its cache-time-audited diagnostics) is returned;
+    /// non-deterministic rung failures propagate as-is.
     pub fn enforce_recovered(
         &mut self,
     ) -> Result<(Option<EnforcementOutcome>, Option<RecoveryReport>)> {
@@ -537,9 +518,7 @@ impl<'a> Pipeline<'a> {
         }
         match self.enforce(NormKind::SensitivityWeighted) {
             Ok(artifact) => Ok((artifact.outcome, None)),
-            Err(CoreError::Passivity(PassivityError::NotConverged { .. }))
-                if self.config.recovery.enabled =>
-            {
+            Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => {
                 let (report, outcome) = self.run_recovery_ladder()?;
                 self.recovery = Some((report.clone(), outcome.clone()));
                 match outcome {
@@ -558,17 +537,15 @@ impl<'a> Pipeline<'a> {
     /// QP damping cap and an extended iteration budget; the first passive
     /// model wins. Deterministic — the caller caches the result.
     fn run_recovery_ladder(&mut self) -> Result<(RecoveryReport, Option<EnforcementOutcome>)> {
-        let rc = self.config.recovery.clone();
         let band = self.assess()?.band_max_omega;
         let weighting = self.weighting_model()?;
         let base_model =
             self.weighted_fit.as_ref().expect("assess caches the weighted fit").model.clone();
         let mut cfg: EnforcementConfig = self.config.enforcement.clone();
-        cfg.max_iterations += rc.extra_iterations;
-        cfg.qp.max_condition = cfg.qp.max_condition.min(rc.max_condition);
+        cfg.max_iterations += EXTRA_ITERATIONS;
+        cfg.qp.max_condition = cfg.qp.max_condition.min(REGULARIZED_MAX_CONDITION);
 
-        let reduced_order =
-            self.config.vf.n_poles.saturating_sub(rc.order_reduction).max(rc.min_order);
+        let reduced_order = self.config.vf.n_poles.saturating_sub(ORDER_REDUCTION).max(MIN_ORDER);
         let mut rungs = vec![RecoveryRung::Regularized, RecoveryRung::Blended];
         if reduced_order < self.config.vf.n_poles {
             rungs.push(RecoveryRung::ReducedOrder);
@@ -586,7 +563,7 @@ impl<'a> Pipeline<'a> {
                     (NormKind::SensitivityWeighted, base_model.clone(), norm)
                 }
                 RecoveryRung::Blended => {
-                    let norm = BlendedNorm::new(weighting.clone(), rc.blend_alpha)
+                    let norm = BlendedNorm::new(weighting.clone(), BLEND_ALPHA)
                         .build(&base_model)
                         .map_err(CoreError::Passivity)?;
                     (NormKind::Blended, base_model.clone(), norm)
@@ -682,18 +659,17 @@ impl<'a> Pipeline<'a> {
         let assessment = self.assess()?;
 
         let (weighted_enforcement, recovery) = self.enforce_recovered()?;
-        let standard_enforcement =
-            if !assessment.report.passive && self.config.run_standard_enforcement {
-                // The baseline is only a comparison curve: a NotConverged failure
-                // is reported as absent rather than failing the flow.
-                match self.enforce(NormKind::Standard) {
-                    Ok(artifact) => artifact.outcome,
-                    Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => None,
-                    Err(e) => return Err(e),
-                }
-            } else {
-                None
-            };
+        let standard_enforcement = if assessment.report.passive {
+            None
+        } else {
+            // The baseline is only a comparison curve: a NotConverged failure
+            // is reported as absent rather than failing the flow.
+            match self.enforce(NormKind::Standard) {
+                Ok(artifact) => artifact.outcome,
+                Err(CoreError::Passivity(PassivityError::NotConverged { .. })) => None,
+                Err(e) => return Err(e),
+            }
+        };
 
         self.stage_start(Stage::Evaluation);
         let standard_model_eval = evaluate_model(
@@ -738,36 +714,21 @@ impl<'a> Pipeline<'a> {
         // The accuracy contract: audit the delivered model on a dense
         // fixed-log grid it was never constrained on, and pair the result
         // with the target-impedance error and the rung that delivered.
-        let contract = match self.config.contract.policy {
-            ContractPolicy::Off => None,
-            ContractPolicy::Report | ContractPolicy::Refuse => {
-                let audit_grid = self.audit_grid();
-                let audit = assess_with_sampling(
-                    pim_runtime::global(),
-                    weighted_passive_model,
-                    &audit_grid,
-                    &FixedLog,
-                )?;
-                Some(AccuracyContract {
-                    rung: recovery
-                        .as_ref()
-                        .and_then(|r| r.delivered)
-                        .unwrap_or(RecoveryRung::Primary),
-                    audit_sigma_max: audit.sigma_max,
-                    audit_points: audit_grid.len(),
-                    sigma_tolerance: self.config.contract.sigma_tolerance,
-                    impedance_error: weighted_passive_eval.impedance_relative_error,
-                    max_impedance_error: self.config.contract.max_impedance_error,
-                })
-            }
+        let audit_grid = self.audit_grid();
+        let audit = assess_with_sampling(
+            pim_runtime::global(),
+            weighted_passive_model,
+            &audit_grid,
+            &FixedLog,
+        )?;
+        let contract = AccuracyContract {
+            rung: recovery.as_ref().and_then(|r| r.delivered).unwrap_or(RecoveryRung::Primary),
+            audit_sigma_max: audit.sigma_max,
+            audit_points: audit_grid.len(),
+            sigma_tolerance: self.config.contract.sigma_tolerance,
+            impedance_error: weighted_passive_eval.impedance_relative_error,
+            max_impedance_error: MAX_IMPEDANCE_ERROR,
         };
-        if self.config.contract.policy == ContractPolicy::Refuse {
-            if let Some(c) = &contract {
-                if !c.within_envelope() {
-                    return Err(CoreError::ContractViolation(Box::new(c.clone())));
-                }
-            }
-        }
 
         Ok(FlowReport {
             nominal_impedance: sens.nominal_impedance,
@@ -784,7 +745,7 @@ impl<'a> Pipeline<'a> {
             weighted_passive_eval,
             standard_passive_eval,
             recovery,
-            contract,
+            contract: Some(contract),
         })
     }
 

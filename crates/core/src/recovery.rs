@@ -3,30 +3,31 @@
 //! The weighted enforcement loop can diverge on hard boards (the corpus of
 //! PR 6 diverged on 16 of 100 generated scenarios). Instead of surfacing a
 //! bare `NotConverged` with a best-so-far model stapled on, the pipeline
-//! retries under an escalation policy — the **recovery ladder**:
+//! retries every primary `NotConverged` under an escalation policy — the
+//! **recovery ladder**:
 //!
 //! 1. [`RecoveryRung::Primary`] — the paper's sensitivity-weighted norm
 //!    under the configured numerics (not a retry; the name of the happy
 //!    path);
 //! 2. [`RecoveryRung::Regularized`] — same norm, but the adaptive QP
-//!    damping cap is tightened (default `1e6`) so near-singular Gramian
-//!    blocks are Tikhonov-damped hard, and the iteration budget is
-//!    extended;
+//!    damping cap is tightened to `1e6` so near-singular Gramian blocks are
+//!    Tikhonov-damped hard;
 //! 3. [`RecoveryRung::Blended`] — a trace-normalized blend of the weighted
-//!    and the standard Gramians (`α` weighted + `1−α` standard): part of
-//!    the accuracy weighting survives, conditioning comes from the
+//!    and the standard Gramians (`α = 0.5` weighted + `1−α` standard): part
+//!    of the accuracy weighting survives, conditioning comes from the
 //!    unweighted norm;
-//! 4. [`RecoveryRung::ReducedOrder`] — the weighted fit is redone at a
-//!    lower order (default two poles fewer) and enforced under the weighted
-//!    norm; fewer states shrink the constraint null-space that lets the
-//!    loop walk in circles.
+//! 4. [`RecoveryRung::ReducedOrder`] — the weighted fit is redone two poles
+//!    lower (never below order 6) and enforced under the weighted norm;
+//!    fewer states shrink the constraint null-space that lets the loop walk
+//!    in circles.
 //!
-//! Every attempt is recorded as a [`RungAttempt`] in a [`RecoveryReport`],
-//! so callers see *what* degraded and *why*. The delivered model — whatever
-//! rung produced it — carries an [`AccuracyContract`]: its σ_max on a dense
-//! audit grid it was never constrained on, its target-impedance error, and
-//! the rung that produced it. [`ContractPolicy::Refuse`] turns the contract
-//! into a hard gate for unattended use.
+//! Every rung runs 40 outer iterations beyond the configured budget and
+//! under the tightened damping cap. Every attempt is recorded as a
+//! [`RungAttempt`] in a [`RecoveryReport`], so callers see *what* degraded
+//! and *why*. The delivered model — whatever rung produced it — carries an
+//! [`AccuracyContract`]: its σ_max on a dense audit grid it was never
+//! constrained on, its target-impedance error, and the rung that produced
+//! it.
 
 use std::fmt;
 
@@ -54,17 +55,6 @@ impl RecoveryRung {
             RecoveryRung::ReducedOrder => "reduced-order",
         }
     }
-
-    /// Parses [`RecoveryRung::name`] output.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "primary" => Some(RecoveryRung::Primary),
-            "regularized" => Some(RecoveryRung::Regularized),
-            "blended" => Some(RecoveryRung::Blended),
-            "reduced-order" => Some(RecoveryRung::ReducedOrder),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for RecoveryRung {
@@ -73,42 +63,20 @@ impl fmt::Display for RecoveryRung {
     }
 }
 
-/// Configuration of the recovery ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryConfig {
-    /// Run the ladder at all. When `false` a diverging weighted enforcement
-    /// surfaces its `NotConverged` error exactly as before the ladder
-    /// existed.
-    pub enabled: bool,
-    /// Adaptive QP damping cap applied on every recovery rung (the primary
-    /// pass keeps its own, typically much looser, cap). Near-singular
-    /// Gramian blocks are Tikhonov-damped until their condition estimate
-    /// falls below this.
-    pub max_condition: f64,
-    /// Outer iterations added to the configured budget on every recovery
-    /// rung — a retry that runs out of road helps nobody.
-    pub extra_iterations: usize,
-    /// Weight of the sensitivity-weighted Gramians in the blended rung
-    /// (`α` weighted + `1−α` standard, trace-normalized).
-    pub blend_alpha: f64,
-    /// Conjugate-pole pairs removed by the reduced-order rung.
-    pub order_reduction: usize,
-    /// The reduced-order rung never refits below this order.
-    pub min_order: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            enabled: true,
-            max_condition: 1e6,
-            extra_iterations: 40,
-            blend_alpha: 0.5,
-            order_reduction: 2,
-            min_order: 6,
-        }
-    }
-}
+/// Adaptive QP damping cap applied on every recovery rung (the primary pass
+/// keeps its own, typically much looser, cap). Near-singular Gramian blocks
+/// are Tikhonov-damped until their condition estimate falls below this.
+pub(crate) const REGULARIZED_MAX_CONDITION: f64 = 1e6;
+/// Outer iterations added to the configured budget on every recovery rung —
+/// a retry that runs out of road helps nobody.
+pub(crate) const EXTRA_ITERATIONS: usize = 40;
+/// Weight of the sensitivity-weighted Gramians in the blended rung (`α`
+/// weighted + `1−α` standard, trace-normalized).
+pub(crate) const BLEND_ALPHA: f64 = 0.5;
+/// Poles removed by the reduced-order rung.
+pub(crate) const ORDER_REDUCTION: usize = 2;
+/// The reduced-order rung never refits below this order.
+pub(crate) const MIN_ORDER: usize = 6;
 
 /// One attempted rung of the recovery ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,28 +115,9 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// What the pipeline does with a delivered model that misses its accuracy
-/// contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ContractPolicy {
-    /// Do not compute a contract (legacy behavior; `FlowReport.contract`
-    /// stays `None`).
-    Off,
-    /// Compute and attach the contract; never fail on it (the default —
-    /// callers inspect [`AccuracyContract::within_envelope`]).
-    #[default]
-    Report,
-    /// Refuse delivery: `Pipeline::report` fails with
-    /// `CoreError::ContractViolation` when the delivered model is outside
-    /// its envelope — the unattended-use mode.
-    Refuse,
-}
-
 /// Configuration of the accuracy contract attached to delivered models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContractConfig {
-    /// Whether to compute the contract and whether it gates delivery.
-    pub policy: ContractPolicy,
     /// Audit-grid density as a multiple of the enforcement working sweep:
     /// the contract sweeps `sweep_points × audit_multiplier` fixed-log
     /// points the model was never constrained on (the corpus certification
@@ -177,20 +126,17 @@ pub struct ContractConfig {
     /// Passivity envelope: within-envelope means
     /// `audit σ_max ≤ 1 + sigma_tolerance`.
     pub sigma_tolerance: f64,
-    /// Accuracy envelope: relative RMS target-impedance error bound.
-    pub max_impedance_error: f64,
 }
 
 impl Default for ContractConfig {
     fn default() -> Self {
-        ContractConfig {
-            policy: ContractPolicy::Report,
-            audit_multiplier: 16,
-            sigma_tolerance: 1e-8,
-            max_impedance_error: 1.0,
-        }
+        ContractConfig { audit_multiplier: 16, sigma_tolerance: 1e-8 }
     }
 }
+
+/// Accuracy envelope of the contract: relative RMS target-impedance error
+/// bound.
+pub(crate) const MAX_IMPEDANCE_ERROR: f64 = 1.0;
 
 /// The accuracy contract of a delivered model: what the pipeline measured
 /// about it on grids it was never constrained on, and which recovery rung
@@ -252,15 +198,14 @@ mod tests {
 
     #[test]
     fn rung_names_round_trip() {
-        for rung in [
+        let names = [
             RecoveryRung::Primary,
             RecoveryRung::Regularized,
             RecoveryRung::Blended,
             RecoveryRung::ReducedOrder,
-        ] {
-            assert_eq!(RecoveryRung::parse(rung.name()), Some(rung));
-        }
-        assert_eq!(RecoveryRung::parse("bogus"), None);
+        ]
+        .map(RecoveryRung::name);
+        assert_eq!(names, ["primary", "regularized", "blended", "reduced-order"]);
     }
 
     #[test]

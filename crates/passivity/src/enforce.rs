@@ -112,53 +112,35 @@ impl PerturbationNorm {
     }
 }
 
-/// The trust-region step controller of the enforcement loop.
-///
-/// The linearized QP can produce wildly overshooting `δC` steps on
-/// ill-conditioned norms (the corpus divergence family). Once
-/// `activate_after` *consecutive* backtracking steps have bottomed out at the
-/// minimum fraction while `σ_max` still grew, the controller engages: it
-/// bounds `‖δC‖` by a radius, then grows or shrinks the radius from the
-/// ratio of the actual to the linearly predicted `σ_max` reduction. Healthy
-/// runs — where at most isolated bottomed-out steps occur — never activate
-/// it and stay bit-identical to the uncontrolled loop; backtracking remains
-/// the inner fallback either way.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrustRegionConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Consecutive bottomed-out-and-grew steps before the controller
-    /// engages. Must stay below [`EnforcementConfig::divergence_guard`] for
-    /// the controller to pre-empt the guard.
-    pub activate_after: usize,
-    /// Reduction ratios at or above this grow the radius (when the step was
-    /// radius-limited and taken in full).
-    pub eta_good: f64,
-    /// Reduction ratios below this shrink the radius.
-    pub eta_bad: f64,
-    /// Radius growth factor on good steps.
-    pub grow: f64,
-    /// Radius shrink factor on bad steps (also scales the engagement radius
-    /// from the last bottomed-out step).
-    pub shrink: f64,
-    /// Radius floor, as a fraction of the engagement radius. At the floor
-    /// the divergence guard regains authority.
-    pub min_radius_scale: f64,
-}
+// The trust-region step controller of the enforcement loop.
+//
+// The linearized QP can produce wildly overshooting `δC` steps on
+// ill-conditioned norms (the corpus divergence family). Once
+// `ACTIVATE_AFTER` *consecutive* backtracking steps have bottomed out at the
+// minimum fraction while `σ_max` still grew, the controller engages: it
+// bounds `‖δC‖` by a radius, then grows or shrinks the radius from the ratio
+// of the actual to the linearly predicted `σ_max` reduction. Healthy runs —
+// where at most isolated bottomed-out steps occur — never activate it and
+// stay bit-identical to the uncontrolled loop; backtracking remains the
+// inner fallback either way.
 
-impl Default for TrustRegionConfig {
-    fn default() -> Self {
-        TrustRegionConfig {
-            enabled: true,
-            activate_after: 2,
-            eta_good: 0.75,
-            eta_bad: 0.25,
-            grow: 2.0,
-            shrink: 0.25,
-            min_radius_scale: 1e-6,
-        }
-    }
-}
+/// Consecutive bottomed-out-and-grew steps before the trust region engages.
+/// Must stay below [`EnforcementConfig::divergence_guard`] for the
+/// controller to pre-empt the guard.
+const ACTIVATE_AFTER: usize = 2;
+/// Reduction ratios at or above this grow the radius (when the step was
+/// radius-limited and taken in full).
+const ETA_GOOD: f64 = 0.75;
+/// Reduction ratios below this shrink the radius.
+const ETA_BAD: f64 = 0.25;
+/// Radius growth factor on good steps.
+const GROW: f64 = 2.0;
+/// Radius shrink factor on bad steps (also scales the engagement radius from
+/// the last bottomed-out step).
+const SHRINK: f64 = 0.25;
+/// Radius floor, as a fraction of the engagement radius. At the floor the
+/// divergence guard regains authority.
+const MIN_RADIUS_SCALE: f64 = 1e-6;
 
 /// Configuration of the enforcement loop.
 #[derive(Debug, Clone)]
@@ -177,27 +159,28 @@ pub struct EnforcementConfig {
     /// Additional constraint frequencies per violation band beyond the peak
     /// (band edges and midpoints).
     pub band_edge_constraints: bool,
-    /// Enforce residue-matrix symmetry after every perturbation (reciprocal
-    /// structures).
-    pub preserve_symmetry: bool,
     /// The sampling strategy that builds the working sweep, the convergence
     /// double-check grid and the final verification grid, and refines every
     /// per-iteration assessment (see [`crate::grid`]). The default
     /// [`CrossingRefined`] reproduces the historical hard-wired grids bit
     /// for bit; [`crate::grid::Adaptive`] chases sub-grid violation bands.
     pub sampling: Arc<dyn SamplingStrategy>,
-    /// Give up after this many *consecutive* iterations in which
-    /// backtracking bottomed out at the minimum step **and** the worst
-    /// singular value still grew — the signature of a diverging enforcement
-    /// (the dense-decap boards of the ROADMAP note). `0` disables the
-    /// guard. On trigger the loop returns
-    /// [`PassivityError::NotConverged`] carrying the best model seen so
-    /// far.
+    /// The divergence guard: a streak of this many *consecutive* iterations
+    /// in which backtracking bottomed out at the minimum step **and** the
+    /// worst singular value still grew — the signature of a diverging
+    /// enforcement (the dense-decap boards of the ROADMAP note) — ends the
+    /// loop with [`PassivityError::NotConverged`] carrying the best model
+    /// seen so far. `0` disables the guard.
+    ///
+    /// The same streak engages the trust-region step controller after two
+    /// such steps. A guard of 1 therefore fires as soon as one step bottoms
+    /// out and grows. From 2 on, the controller engages first, and the guard
+    /// fires only once the radius sits at its floor while the streak is
+    /// still at or above this value; as long as the radius stays above its
+    /// floor, only convergence or the iteration budget ends the loop.
     pub divergence_guard: usize,
     /// Options of the inner quadratic program.
     pub qp: QpOptions,
-    /// The trust-region step controller (see [`TrustRegionConfig`]).
-    pub trust_region: TrustRegionConfig,
 }
 
 impl Default for EnforcementConfig {
@@ -208,11 +191,9 @@ impl Default for EnforcementConfig {
             sigma_threshold: 0.999,
             sweep_points: 400,
             band_edge_constraints: true,
-            preserve_symmetry: false,
             sampling: Arc::new(CrossingRefined),
             divergence_guard: 3,
             qp: QpOptions::default(),
-            trust_region: TrustRegionConfig::default(),
         }
     }
 }
@@ -415,8 +396,7 @@ pub fn enforce_passivity_observed(
     // Consecutive bottomed-out-and-grew backtracking steps (the divergence
     // guard's trigger, and the trust-region engagement trigger).
     let mut bottomed_growth = 0usize;
-    let tr = &config.trust_region;
-    // Trust-region state: inactive (`None`) until `activate_after`
+    // Trust-region state: inactive (`None`) until `ACTIVATE_AFTER`
     // consecutive bottomed-out-and-grew steps; every float the loop produces
     // before activation is identical to the uncontrolled loop.
     let mut radius: Option<f64> = None;
@@ -535,9 +515,6 @@ pub fn enforce_passivity_observed(
         let qp = solve_block_qp_factored(&qp_factors, &cons.f, &cons.g, &config.qp)?;
 
         let mut delta = qp.x;
-        if config.preserve_symmetry {
-            symmetrize_delta(&mut delta, current.ports(), current.order());
-        }
 
         // Trust region (primary step control once engaged): bound ‖δC‖ by
         // the radius before the backtracking fallback sees the step.
@@ -609,10 +586,10 @@ pub fn enforce_passivity_observed(
                     };
                     // audit:allow(float-eq): step is assigned the literal 1.0 on the unclipped path
                     let full_step = step == 1.0;
-                    if rho < tr.eta_bad {
-                        radius = Some((taken_norm * tr.shrink).max(radius_floor));
-                    } else if rho >= tr.eta_good && clipped && full_step {
-                        radius = Some(r * tr.grow);
+                    if rho < ETA_BAD {
+                        radius = Some((taken_norm * SHRINK).max(radius_floor));
+                    } else if rho >= ETA_GOOD && clipped && full_step {
+                        radius = Some(r * GROW);
                     }
                     robustness.final_radius = radius;
                 }
@@ -621,14 +598,10 @@ pub fn enforce_passivity_observed(
                 // steps mean backtracking alone is not controlling the
                 // overshoot — bound the next steps below the one that just
                 // failed.
-                if tr.enabled
-                    && tr.activate_after > 0
-                    && radius.is_none()
-                    && bottomed_growth >= tr.activate_after
-                {
-                    let engage = (taken_norm * tr.shrink).max(1e-300);
+                if radius.is_none() && bottomed_growth >= ACTIVATE_AFTER {
+                    let engage = (taken_norm * SHRINK).max(1e-300);
                     radius = Some(engage);
-                    radius_floor = engage * tr.min_radius_scale;
+                    radius_floor = engage * MIN_RADIUS_SCALE;
                     robustness.trust_region_engaged = true;
                     robustness.final_radius = radius;
                 }
@@ -679,22 +652,6 @@ fn record_qp_state(robustness: &mut RobustnessInfo, factors: &BlockQpFactors) {
     if factors.damped_blocks() > 0 {
         robustness.qp_lambda_max =
             robustness.qp_lambda_max.max(factors.max_applied_regularization());
-    }
-}
-
-/// Averages the perturbations of elements `(i, j)` and `(j, i)` so a
-/// symmetric model stays symmetric.
-fn symmetrize_delta(delta: &mut [f64], ports: usize, states: usize) {
-    for i in 0..ports {
-        for j in (i + 1)..ports {
-            for m in 0..states {
-                let a = (i * ports + j) * states + m;
-                let b = (j * ports + i) * states + m;
-                let avg = 0.5 * (delta[a] + delta[b]);
-                delta[a] = avg;
-                delta[b] = avg;
-            }
-        }
     }
 }
 
@@ -774,13 +731,9 @@ mod tests {
     fn enforcement_handles_two_port_and_preserves_symmetry() {
         let model = violating_two_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
-        let cfg =
-            EnforcementConfig { sweep_points: 200, preserve_symmetry: true, ..Default::default() };
+        let cfg = EnforcementConfig { sweep_points: 200, ..Default::default() };
         let out = enforce_passivity_observed(&model, &norm, 6000.0, &cfg, &mut ()).unwrap();
         assert!(out.report.passive);
-        for r in out.model.residues() {
-            assert!((r[(0, 1)] - r[(1, 0)]).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -876,12 +829,14 @@ mod tests {
         let model = violating_one_port();
         let g = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]]);
         let norm = PerturbationNorm::from_gramians(vec![g], 1, 2).unwrap();
-        // Trust region and adaptive damping off: this test pins the legacy
-        // guard semantics (the rescue paths get their own tests below).
+        // Adaptive damping off, and a guard of 1: it fires on the first
+        // bottomed-out-and-grew step, before the trust region can engage
+        // (engaging takes two such steps), so this pins the pure guard
+        // semantics (the rescue paths get their own tests below).
         let cfg = EnforcementConfig {
             sweep_points: 100,
             max_iterations: 40,
-            trust_region: TrustRegionConfig { enabled: false, ..Default::default() },
+            divergence_guard: 1,
             qp: QpOptions { max_condition: f64::INFINITY, ..Default::default() },
             ..Default::default()
         };
@@ -931,7 +886,7 @@ mod tests {
                 assert!(diagnostics.guard_triggered);
                 assert_eq!(diagnostics.bottomed_out, cfg.divergence_guard);
                 assert!(diagnostics.last_step <= 1.0 / 16.0);
-                assert!(!diagnostics.trust_region_engaged, "trust region was disabled");
+                assert!(!diagnostics.trust_region_engaged, "the guard pre-empts the trust region");
                 assert!(!diagnostics.sigma_tail.is_empty());
                 assert_eq!(*diagnostics.sigma_tail.last().unwrap(), sigma_max);
                 let rendered = diagnostics.to_string();
@@ -944,11 +899,13 @@ mod tests {
             ),
             Err(e) => panic!("expected NotConverged, got {e}"),
         }
-        // With the guard disabled, the same loop burns the whole budget.
+        // With the guard disabled, the trust region engages but cannot
+        // rescue the undamped norm: the loop burns the whole budget.
         let unguarded = EnforcementConfig { divergence_guard: 0, ..cfg.clone() };
         match enforce_passivity_observed(&model, &norm, 5000.0, &unguarded, &mut ()) {
-            Err(PassivityError::NotConverged { iterations, .. }) => {
+            Err(PassivityError::NotConverged { iterations, diagnostics, .. }) => {
                 assert_eq!(iterations, unguarded.max_iterations);
+                assert!(diagnostics.trust_region_engaged);
             }
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
@@ -983,15 +940,14 @@ mod tests {
     #[test]
     fn inactive_trust_region_is_bit_identical_to_the_legacy_loop() {
         // On a healthy run the trust region never engages and the adaptive
-        // damping never escalates, so the robust loop must reproduce the
-        // legacy loop bit for bit — the guarantee that pins the committed
-        // fixtures.
+        // damping never escalates, so the default loop must reproduce the
+        // loop without a damping cap bit for bit — the guarantee that pins
+        // the committed fixtures.
         let model = violating_one_port();
         let norm = PerturbationNorm::standard(&model).unwrap();
         let robust = EnforcementConfig { sweep_points: 200, ..Default::default() };
         let legacy = EnforcementConfig {
             sweep_points: 200,
-            trust_region: TrustRegionConfig { enabled: false, ..Default::default() },
             qp: QpOptions { max_condition: f64::INFINITY, ..Default::default() },
             ..Default::default()
         };

@@ -328,12 +328,6 @@ impl Default for Adaptive {
 }
 
 impl Adaptive {
-    /// An adaptive strategy with the given interpolation-error tolerance and
-    /// the default floor/caps.
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        Adaptive { tolerance, ..Adaptive::default() }
-    }
-
     /// Geometric midpoint of `(a, b)` (arithmetic when `a` is DC, where the
     /// geometric mean degenerates).
     fn midpoint(a: f64, b: f64) -> f64 {

@@ -46,7 +46,7 @@ pub use check::{
 };
 pub use enforce::{
     enforce_passivity_observed, EnforcementConfig, EnforcementIteration, EnforcementObserver,
-    EnforcementOutcome, PerturbationNorm, RobustnessInfo, TrustRegionConfig,
+    EnforcementOutcome, PerturbationNorm, RobustnessInfo,
 };
 pub use grid::{
     Adaptive, CrossingRefined, FixedLog, FrequencyGrid, PointProvenance, SamplingStrategy,

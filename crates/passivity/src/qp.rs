@@ -125,27 +125,17 @@ fn factor_block_capped(
 }
 
 impl BlockQpFactors {
-    /// Factors the regularized Gramian blocks with the fixed Tikhonov term
-    /// `regularization` of [`QpOptions::regularization`] — no adaptive
-    /// damping (equivalent to [`BlockQpFactors::new_adaptive`] with an
-    /// infinite condition cap).
+    /// Factors the Gramian blocks with the relative Tikhonov term
+    /// `regularization` ([`QpOptions::regularization`]) plus adaptive
+    /// damping: any block whose LU condition estimate exceeds
+    /// `max_condition` gets its λ escalated until it complies. Blocks already
+    /// within the cap are factored with `regularization` alone, so an
+    /// infinite cap gives the fixed-Tikhonov factorization.
     ///
     /// # Errors
     ///
     /// Returns [`PassivityError::InvalidInput`] on inconsistent block shapes
     /// and propagates factorization failures.
-    pub fn new(blocks: &[Mat], regularization: f64) -> Result<Self> {
-        Self::new_adaptive(blocks, regularization, f64::INFINITY)
-    }
-
-    /// Factors the Gramian blocks with adaptive Tikhonov damping: any block
-    /// whose LU condition estimate exceeds `max_condition` gets its λ
-    /// escalated until it complies. Well-conditioned blocks are factored
-    /// bit-identically to [`BlockQpFactors::new`].
-    ///
-    /// # Errors
-    ///
-    /// See [`BlockQpFactors::new`].
     pub fn new_adaptive(blocks: &[Mat], regularization: f64, max_condition: f64) -> Result<Self> {
         if blocks.is_empty() {
             return Err(PassivityError::InvalidInput(
@@ -237,10 +227,9 @@ impl BlockQpFactors {
 /// Solves the block-diagonal Gramian-weighted QP with pre-factored blocks.
 ///
 /// `factors` holds one symmetric positive-definite matrix per element (all
-/// of identical size), factored once by [`BlockQpFactors::new`] or
-/// [`BlockQpFactors::new_adaptive`] so repeated solves with the same
-/// Gramians amortize the factorization; `f` and `g` define the inequality
-/// constraints `F·x ≤ g`.
+/// of identical size), factored once by [`BlockQpFactors::new_adaptive`] so
+/// repeated solves with the same Gramians amortize the factorization; `f`
+/// and `g` define the inequality constraints `F·x ≤ g`.
 ///
 /// `options.regularization` is **not** consulted here: the Tikhonov term is
 /// baked into `factors` at construction time; only the iteration/tolerance
@@ -355,7 +344,7 @@ mod tests {
     /// Factors `blocks` with the default regularization and solves.
     fn factor_and_solve(blocks: &[Mat], f: &Mat, g: &[f64]) -> Result<QpSolution> {
         let options = QpOptions::default();
-        let factors = BlockQpFactors::new(blocks, options.regularization)?;
+        let factors = BlockQpFactors::new_adaptive(blocks, options.regularization, f64::INFINITY)?;
         solve_block_qp_factored(&factors, f, g, &options)
     }
 
@@ -435,7 +424,7 @@ mod tests {
         let blocks = vec![Mat::from_diag(&[2.0, 3.0]), Mat::identity(2)];
         let f = Mat::from_rows(&[&[1.0, 1.0, 0.5, -0.25]]);
         let g = [-1.0];
-        let plain = BlockQpFactors::new(&blocks, 1e-10).unwrap();
+        let plain = BlockQpFactors::new_adaptive(&blocks, 1e-10, f64::INFINITY).unwrap();
         let adaptive = BlockQpFactors::new_adaptive(&blocks, 1e-10, 1e13).unwrap();
         assert_eq!(adaptive.damped_blocks(), 0);
         let opts = QpOptions::default();

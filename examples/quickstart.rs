@@ -110,9 +110,9 @@ fn main() -> Result<(), PimError> {
         default_audit.sigma_max,
         if default_audit.passive { "passive" } else { "NOT passive" }
     );
-    let adaptive_report = Pipeline::from_scenario(&scenario, FlowConfig::default())?
-        .sampling(Adaptive::default())
-        .report()?;
+    let mut adaptive = FlowConfig::default();
+    adaptive.enforcement = adaptive.enforcement.sampling(Adaptive::default());
+    let adaptive_report = Pipeline::from_scenario(&scenario, adaptive)?.report()?;
     let adaptive_audit =
         assess_with_sampling(pool, adaptive_report.final_model(), &audit, &FixedLog)?;
     println!(

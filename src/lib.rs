@@ -16,6 +16,7 @@
 //! ```
 //! use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario};
 //! use pim_repro::passivity::grid::Adaptive;
+//! use pim_repro::passivity::EnforcementConfig;
 //! use pim_repro::vectfit::VfConfig;
 //! use pim_repro::PimError;
 //!
@@ -23,13 +24,16 @@
 //! let scenario = StandardScenario::reduced()?;
 //!
 //! // A light configuration for the doc test; FlowConfig::default() is the
-//! // paper-faithful one. The `sampling` builder picks the sweep-grid
-//! // strategy: `Adaptive` bisects toward violation bands narrower than
-//! // the grid spacing (the default `CrossingRefined` reproduces the
-//! // historical grids bit for bit).
-//! let config = FlowConfig { vf: VfConfig::with_order(10).iterations(3), ..Default::default() };
-//! let mut pipeline =
-//!     Pipeline::from_scenario(&scenario, config)?.sampling(Adaptive::default());
+//! // paper-faithful one. The enforcement `sampling` builder picks the
+//! // sweep-grid strategy: `Adaptive` bisects toward violation bands
+//! // narrower than the grid spacing (the default `CrossingRefined`
+//! // reproduces the historical grids bit for bit).
+//! let config = FlowConfig {
+//!     vf: VfConfig::with_order(10).iterations(3),
+//!     enforcement: EnforcementConfig::default().sampling(Adaptive::default()),
+//!     ..Default::default()
+//! };
+//! let mut pipeline = Pipeline::from_scenario(&scenario, config)?;
 //!
 //! // Sensitivity of the target impedance to scattering perturbations
 //! // (eq. 5–6): large at low frequency, small at the top of the band.

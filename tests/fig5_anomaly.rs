@@ -83,12 +83,10 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
     //        band away and the delivered model survives a 16× fixed-log
     //        audit grid it was never constrained on.
     let mut trace = TraceObserver::new();
-    let report = Pipeline::from_scenario(&sc, config.clone())
-        .unwrap()
-        .sampling(Adaptive::default())
-        .with_observer(&mut trace)
-        .report()
-        .unwrap();
+    let mut adaptive = config.clone();
+    adaptive.enforcement = adaptive.enforcement.sampling(Adaptive::default());
+    let report =
+        Pipeline::from_scenario(&sc, adaptive).unwrap().with_observer(&mut trace).report().unwrap();
     let out = report.weighted_enforcement.as_ref().expect("enforcement must run");
     assert!(out.report.passive, "the adaptive enforcement must certify passivity");
     let audit =
@@ -138,12 +136,9 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
 #[ignore = "full paper-size scenario: minutes in release, run by the CI diagnostics step"]
 fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
     let sc = StandardScenario::standard().unwrap();
-    let config = FlowConfig::default();
-    let report = Pipeline::from_scenario(&sc, config.clone())
-        .unwrap()
-        .sampling(Adaptive::default())
-        .report()
-        .unwrap();
+    let mut config = FlowConfig::default();
+    config.enforcement = config.enforcement.sampling(Adaptive::default());
+    let report = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
     let band_max_omega = sc.data.grid().max_omega();
     let audit =
         FrequencyGrid::enforcement_log(band_max_omega, config.enforcement.sweep_points * 16);

@@ -3,11 +3,13 @@
 //! enforcement-trace regression fixture.
 
 use pim_repro::core_flow::{
-    CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, ScenarioPreset, Stage,
-    StandardScenario, TraceObserver,
+    CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, RecoveryRung,
+    ScenarioPreset, Stage, StandardScenario, TraceObserver,
 };
 use pim_repro::linalg::{CMat, Complex64, Mat};
-use pim_repro::passivity::{EnforcementOutcome, NormKind, PassivityError};
+use pim_repro::passivity::{
+    assess_with_sampling, EnforcementOutcome, FixedLog, FrequencyGrid, NormKind, PassivityError,
+};
 use pim_repro::runtime::ThreadPool;
 use pim_repro::statespace::PoleResidueModel;
 
@@ -183,6 +185,28 @@ fn stage_artifacts_match_the_assembled_report() {
     assert_model_bits(&weighted.result.model, &report.weighted_fit.model, "weighted artifact");
     assert_f64_bits(assessment.sigma_max_before, report.sigma_max_before, "sigma artifact");
     assert!(!assessment.report.passive);
+
+    // The accuracy contract is the corpus certification gate's only audit
+    // evidence: it must be present, name the rung, and sweep the 16x
+    // fixed-log grid (`sweep_points × audit_multiplier` points plus DC),
+    // reproduced here independently.
+    let config = pipeline.config();
+    let contract = report.contract.as_ref().expect("a delivered report carries its contract");
+    let sweep_points = config.enforcement.sweep_points;
+    assert_eq!(config.contract.audit_multiplier, 16);
+    assert_eq!(contract.audit_points, sweep_points * config.contract.audit_multiplier + 1);
+    if report.recovery.is_none() {
+        assert_eq!(contract.rung, RecoveryRung::Primary);
+    }
+    let audit_grid = FrequencyGrid::enforcement_log(sc.data.grid().max_omega(), sweep_points * 16);
+    let audit = assess_with_sampling(
+        pim_repro::runtime::global(),
+        report.final_model(),
+        &audit_grid,
+        &FixedLog,
+    )
+    .unwrap();
+    assert_f64_bits(contract.audit_sigma_max, audit.sigma_max, "contract audit sigma_max");
 }
 
 /// Compares two recorded sweep traces event for event (floats at the bit
