@@ -14,7 +14,7 @@ use pim_passivity::check::assess_with_sampling;
 use pim_passivity::enforce::{
     enforce_passivity_observed, EnforcementConfig, EnforcementOutcome, PerturbationNorm,
 };
-use pim_passivity::grid::{Adaptive, CrossingRefined, FixedLog, FrequencyGrid};
+use pim_passivity::grid::{Adaptive, FixedLog, FrequencyGrid};
 use pim_passivity::NormBuilder;
 use pim_pdn::{
     analytic_sensitivity, monte_carlo_sensitivity_with, target_impedance, SensitivityOptions,
@@ -52,14 +52,14 @@ fn bench_figures(c: &mut Criterion) {
     c.bench_function("fig4_passivity_assessment", |b| {
         b.iter(|| {
             let grid = FrequencyGrid::from_omegas(&omegas);
-            assess_with_sampling(pim_runtime::global(), &weighted.model, &grid, &CrossingRefined)
+            assess_with_sampling(pim_runtime::global(), &weighted.model, &grid, &Adaptive)
                 .expect("assess")
         })
     });
     // Sampling-strategy ablation on the same assessment: the fixed log grid
-    // (no refinement), the historical crossing refinement, and the adaptive
-    // bisection that resolves sub-grid violation bands (see the `grid`
-    // module of pim-passivity and the Fig. 5 anomaly resolution).
+    // (no refinement) against the default adaptive bisection that resolves
+    // sub-grid violation bands (see the `grid` module of pim-passivity and
+    // the Fig. 5 anomaly resolution).
     let base_grid = FrequencyGrid::from_omegas(&omegas);
     let mut sampling = c.benchmark_group("assess_adaptive_vs_fixed");
     sampling.bench_function("assess_fixed_log", |b| {
@@ -68,26 +68,10 @@ fn bench_figures(c: &mut Criterion) {
                 .expect("assess")
         })
     });
-    sampling.bench_function("assess_crossing_refined", |b| {
-        b.iter(|| {
-            assess_with_sampling(
-                pim_runtime::global(),
-                &weighted.model,
-                &base_grid,
-                &CrossingRefined,
-            )
-            .expect("assess")
-        })
-    });
     sampling.bench_function("assess_adaptive", |b| {
         b.iter(|| {
-            assess_with_sampling(
-                pim_runtime::global(),
-                &weighted.model,
-                &base_grid,
-                &Adaptive::default(),
-            )
-            .expect("assess")
+            assess_with_sampling(pim_runtime::global(), &weighted.model, &base_grid, &Adaptive)
+                .expect("assess")
         })
     });
     sampling.finish();

@@ -14,23 +14,6 @@ use pim_core::corpus::corpus_flow_config;
 use pim_core::flow::{FlowConfig, FlowReport};
 use pim_core::pipeline::Pipeline;
 use pim_core::scenario::{ScenarioPreset, StandardScenario};
-use pim_passivity::grid::CrossingRefined;
-
-/// The trimmed "fixture" flow configuration shared by the integration
-/// suite (`tests/pipeline.rs` / `tests/fig5_anomaly.rs` at the workspace
-/// root) and the harness binaries: the same numerics class as
-/// `FlowConfig::default()` at a fraction of the runtime.
-/// `tests/fixtures/fig5_iterations.txt` is recorded under it, so anything
-/// claiming fixture parity must use exactly this.
-///
-/// It is [`corpus_flow_config`] at order 18 with the historical
-/// [`CrossingRefined`] sampling set back, so the trimmed numerics live in
-/// one place.
-pub fn fixture_flow_config() -> FlowConfig {
-    let mut config = corpus_flow_config(18);
-    config.enforcement = config.enforcement.sampling(CrossingRefined);
-    config
-}
 
 /// The trimmed corpus configuration shared by the integration suite
 /// (`tests/corpus.rs` / `tests/pipeline.rs`): tiny boards and a low

@@ -87,6 +87,10 @@ impl Element {
     }
 }
 
+/// Minimum node-to-ground conductance (numerical `gmin`) stamped on every
+/// node, keeping the nodal matrix nonsingular at DC for floating nets.
+const GMIN: f64 = 1e-12;
+
 /// An RLCG netlist with externally accessible ports.
 ///
 /// ```
@@ -109,13 +113,12 @@ pub struct Circuit {
     n_nodes: usize,
     elements: Vec<Element>,
     ports: Vec<usize>,
-    gmin: f64,
 }
 
 impl Circuit {
     /// Creates an empty circuit (ground node only).
     pub fn new() -> Self {
-        Circuit { n_nodes: 0, elements: Vec::new(), ports: Vec::new(), gmin: 1e-12 }
+        Circuit::default()
     }
 
     /// Allocates a new node and returns its index (`≥ 1`; `0` is ground).
@@ -137,12 +140,6 @@ impl Circuit {
     /// The elements of the netlist.
     pub fn elements(&self) -> &[Element] {
         &self.elements
-    }
-
-    /// Sets the minimum node-to-ground conductance (numerical `gmin`) used to
-    /// keep the nodal matrix nonsingular at DC for floating nets.
-    pub fn set_gmin(&mut self, gmin: f64) {
-        self.gmin = gmin.max(0.0);
     }
 
     /// Adds an element.
@@ -196,7 +193,7 @@ impl Circuit {
         let n = self.n_nodes;
         let mut y = CMat::zeros(n, n);
         for i in 0..n {
-            y[(i, i)] = Complex64::from_real(self.gmin);
+            y[(i, i)] = Complex64::from_real(GMIN);
         }
         for el in &self.elements {
             let (a, b) = el.nodes();

@@ -146,25 +146,17 @@ pub fn evaluate_model(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::corpus::corpus_flow_config;
     use crate::pipeline::Pipeline;
     use crate::scenario::StandardScenario;
     use pim_passivity::check::assess_with_sampling;
-    use pim_passivity::grid::{CrossingRefined, FrequencyGrid};
-
-    /// The trimmed fixture numerics: the corpus configuration at order 18
-    /// with the historical crossing-refined sampling.
-    fn quick_config() -> FlowConfig {
-        let mut config = corpus_flow_config(18);
-        config.enforcement = config.enforcement.sampling(CrossingRefined);
-        config
-    }
+    use pim_passivity::grid::{Adaptive, FrequencyGrid};
 
     #[test]
     fn flow_reproduces_the_paper_claims_on_the_reduced_scenario() {
         let sc = StandardScenario::reduced().unwrap();
-        let report = Pipeline::from_scenario(&sc, quick_config()).unwrap().report().unwrap();
+        let report =
+            Pipeline::from_scenario(&sc, corpus_flow_config(18)).unwrap().report().unwrap();
 
         // Claim 1 (Fig. 1 / Fig. 2): the standard model is accurate in the
         // scattering representation but the weighted model tracks the target
@@ -193,7 +185,7 @@ mod tests {
             pim_runtime::global(),
             report.final_model(),
             &FrequencyGrid::from_omegas(&sc.data.grid().omegas()),
-            &CrossingRefined,
+            &Adaptive,
         )
         .unwrap();
         // The enforcement loop certifies passivity on its own (denser)
@@ -233,8 +225,7 @@ mod tests {
     fn flow_rejects_non_scattering_data() {
         let sc = StandardScenario::reduced().unwrap();
         let zdata = sc.data.to_impedance().unwrap();
-        assert!(
-            Pipeline::from_data(&zdata, &sc.network, sc.observation_port, quick_config()).is_err()
-        );
+        let config = corpus_flow_config(18);
+        assert!(Pipeline::from_data(&zdata, &sc.network, sc.observation_port, config).is_err());
     }
 }

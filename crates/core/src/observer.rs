@@ -134,10 +134,10 @@ impl TraceObserver {
     }
 
     /// The working-grid size of every iteration under the given norm, in
-    /// order — the per-iteration grid-growth trajectory. Near the fixed
-    /// baseline (± the iterate's crossing-derived points) under the default
-    /// `CrossingRefined` sampling; substantially larger when the `Adaptive`
-    /// strategy bisects its way toward sub-grid violation bands.
+    /// order — the per-iteration grid-growth trajectory: the fixed baseline
+    /// plus the points the default `Adaptive` sampling derives from the
+    /// iterate's crossings and bisects toward sub-grid violation bands
+    /// (exactly the baseline under `FixedLog`).
     pub fn grid_growth(&self, norm: NormKind) -> Vec<usize> {
         self.trace(norm).iter().map(|ev| ev.grid_points).collect()
     }

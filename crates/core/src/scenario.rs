@@ -195,20 +195,14 @@ impl ScenarioPreset {
         }
     }
 
-    /// The recommended flow configuration for this preset:
-    /// [`crate::flow::FlowConfig::default`] with
-    /// [`pim_passivity::grid::Adaptive`] sampling on the assessment and
-    /// enforcement grids.
+    /// The flow configuration for this preset: every preset runs
+    /// [`crate::flow::FlowConfig::default`], whose
+    /// [`pim_passivity::grid::Adaptive`] sampling chases the sub-grid
+    /// violation bands behind the Fig. 5 anomaly.
     ///
-    /// Every preset's macromodels carry sharp resonances, and sub-grid
-    /// violation bands were the root cause of the Fig. 5 anomaly, so every
-    /// preset recommends the adaptive strategy. The plain
-    /// [`crate::flow::FlowConfig::default`] keeps the historical
-    /// [`pim_passivity::grid::CrossingRefined`] for bit-compatibility.
+    /// Kept as the per-preset entry point the repository benchmark calls.
     pub fn flow_config(self) -> crate::flow::FlowConfig {
-        let mut config = crate::flow::FlowConfig::default();
-        config.enforcement.sampling = std::sync::Arc::new(pim_passivity::grid::Adaptive::default());
-        config
+        crate::flow::FlowConfig::default()
     }
 
     /// Builds the preset scenario.
@@ -447,17 +441,12 @@ mod tests {
     fn presets_recommend_the_adaptive_sampling_strategy() {
         for preset in ScenarioPreset::ALL {
             let config = preset.flow_config();
-            assert_eq!(config.enforcement.sampling.name(), "adaptive");
+            assert_eq!(format!("{:?}", config.enforcement.sampling), "Adaptive");
             // Everything else stays at the paper-faithful defaults.
             let default = crate::flow::FlowConfig::default();
             assert_eq!(config.enforcement.sweep_points, default.enforcement.sweep_points);
             assert_eq!(config.vf.n_poles, default.vf.n_poles);
         }
-        // The plain default keeps the historical strategy (bit-compat path).
-        assert_eq!(
-            crate::flow::FlowConfig::default().enforcement.sampling.name(),
-            "crossing-refined"
-        );
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!
 //! Alongside the printed report, every benchmark run is recorded and written
 //! as a JSON map (`name → {mean_ns, min_ns, max_ns, samples}`) by the `main`
-//! generated by [`criterion_main!`] once every group has finished. The file
+//! generated by [`criterion_main!`] once every group has finished. The map
+//! opens with a `host` block (`cores`, `pim_threads`, `os`, `arch`,
+//! `profile`) so timings from different machines are never confused. The file
 //! lands at `BENCH_PIM.json` in the working directory (for `cargo bench`,
 //! the workspace root), or at the path given by the `PIM_BENCH_JSON`
 //! environment variable. This gives the repository a perf trajectory that
@@ -76,12 +78,28 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Serializes every recorded benchmark to `path` as a JSON object keyed by
-/// benchmark name. Returns an I/O error on failure; callers on the drop path
-/// ignore it (a failed report must not panic the bench harness).
+/// The `host` block of the JSON report: available cores, the `PIM_THREADS`
+/// override (`null` when unset), OS, architecture and build profile.
+fn host_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let threads = std::env::var("PIM_THREADS")
+        .map_or_else(|_| "null".to_string(), |v| format!("\"{}\"", escape_json(&v)));
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    format!(
+        "{{\"cores\": {cores}, \"pim_threads\": {threads}, \"os\": \"{}\", \"arch\": \"{}\", \"profile\": \"{profile}\"}}",
+        std::env::consts::OS,
+        std::env::consts::ARCH
+    )
+}
+
+/// Serializes the host block and every recorded benchmark to `path` as a
+/// JSON object keyed by benchmark name. Returns an I/O error on failure;
+/// callers on the drop path ignore it (a failed report must not panic the
+/// bench harness).
 pub fn write_json_report(path: &str) -> std::io::Result<()> {
     let records = RECORDS.lock().unwrap_or_else(|e| e.into_inner());
-    let mut body = String::from("{\n");
+    let mut body =
+        format!("{{\n  \"host\": {}{}\n", host_json(), if records.is_empty() { "" } else { "," });
     for (i, r) in records.iter().enumerate() {
         body.push_str(&format!(
             "  \"{}\": {{\"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"samples\": {}}}{}\n",
@@ -275,6 +293,8 @@ mod tests {
         std::fs::remove_file(path).ok();
         assert!(body.trim_start().starts_with('{') && body.trim_end().ends_with('}'));
         assert!(body.contains("\"json_probe_bench\""));
+        assert!(body.contains("\"host\": {\"cores\": "));
+        assert!(body.contains(&format!("\"os\": \"{}\"", std::env::consts::OS)));
         assert!(body.contains("\"mean_ns\""));
         assert!(body.contains("\"samples\""));
     }

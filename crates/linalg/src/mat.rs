@@ -475,20 +475,6 @@ impl Mat {
         }
     }
 
-    /// Builds a block-diagonal matrix from the given blocks.
-    pub fn block_diag(blocks: &[&Mat]) -> Mat {
-        let rows: usize = blocks.iter().map(|b| b.rows).sum();
-        let cols: usize = blocks.iter().map(|b| b.cols).sum();
-        let mut out = Mat::zeros(rows, cols);
-        let (mut r, mut c) = (0, 0);
-        for b in blocks {
-            out.set_block(r, c, b);
-            r += b.rows;
-            c += b.cols;
-        }
-        out
-    }
-
     /// Horizontal concatenation `[self | rhs]`.
     ///
     /// # Errors
@@ -801,10 +787,6 @@ mod tests {
         assert_eq!(h.shape(), (2, 6));
         let v = a.vstack(&a).unwrap();
         assert_eq!(v.shape(), (4, 3));
-        let bd = Mat::block_diag(&[&Mat::identity(2), &Mat::filled(1, 1, 5.0)]);
-        assert_eq!(bd.shape(), (3, 3));
-        assert_eq!((bd[(2, 2)]).to_bits(), 5.0f64.to_bits());
-        assert_eq!((bd[(0, 2)]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub struct PassivityReport {
     /// Frequencies (rad/s) of unit-singular-value crossings reported by the
     /// Hamiltonian eigenvalue test.
     pub hamiltonian_crossings: Vec<f64>,
-    /// The frequency grid the sweep actually ran on, with per-point
-    /// provenance (seed / crossing refinement / adaptive bisection).
+    /// The frequency grid the sweep actually ran on: the base grid plus
+    /// every point the sampling strategy added.
     pub grid: FrequencyGrid,
 }
 
@@ -194,9 +194,9 @@ pub fn singular_value_sweep_with(
 /// (see [`SamplingStrategy::refine`]), sweeps the refined grid on `pool`, and
 /// assembles the report.
 ///
-/// [`crate::grid::CrossingRefined`] refines around the crossing frequencies
-/// (the historical assessment, bit for bit); [`crate::grid::FixedLog`]
-/// sweeps **exactly** `base` — the verification-grid form ("does the model
+/// [`crate::grid::Adaptive`] refines around the crossing frequencies and
+/// bisects toward unresolved σ peaks; [`crate::grid::FixedLog`] sweeps
+/// **exactly** `base` — the verification-grid form ("does the model
 /// hold up on a grid it was *not* constrained on?"). The report is
 /// bit-identical for every pool size.
 ///
@@ -295,17 +295,17 @@ pub fn sigma_max_at(model: &PoleResidueModel, omega: f64) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{CrossingRefined, FixedLog};
+    use crate::grid::{Adaptive, FixedLog};
     use pim_linalg::{CMat, Complex64};
 
     fn c(re: f64, im: f64) -> Complex64 {
         Complex64::new(re, im)
     }
 
-    /// The crossing-refined assessment on the global pool, from raw omegas.
+    /// The adaptive assessment on the global pool, from raw omegas.
     fn assess_refined(model: &PoleResidueModel, omegas: &[f64]) -> PassivityReport {
         let base = FrequencyGrid::from_omegas(omegas);
-        assess_with_sampling(pim_runtime::global(), model, &base, &CrossingRefined).unwrap()
+        assess_with_sampling(pim_runtime::global(), model, &base, &Adaptive).unwrap()
     }
 
     /// A clearly passive 1-port: S(s) = k/(s+a) with k < a and |D| < 1.
@@ -411,14 +411,17 @@ mod tests {
         // No refinement: the report grid is the input grid, point for point.
         assert_eq!(report.grid.points(), grid.points());
         assert!(!report.passive);
-        // The crossing refinement adds points around the crossings, so its
+        // The adaptive refinement adds points around the crossings, so its
         // grid is a strict superset and its peak estimate at least as good.
         let refined = assess_refined(&m, &omegas);
         assert!(refined.grid.len() > grid.len());
         assert!(refined.sigma_max >= report.sigma_max);
-        assert_eq!(refined.grid.count_of(crate::grid::PointProvenance::Seed), grid.len());
+        assert!(grid.points().iter().all(|w| refined.grid.points().contains(w)));
     }
 
+    /// The refined assessment — the crossing refinement plus the adaptive
+    /// bisection that samples σ on the pool — is bit-identical for every
+    /// pool size.
     #[test]
     fn crossing_refined_assessment_is_bit_identical_across_pools() {
         let m = violating_model();
@@ -426,7 +429,7 @@ mod tests {
             FrequencyGrid::from_omegas(&(0..150).map(|k| k as f64 * 13.0).collect::<Vec<_>>());
         let on_pool = |threads: usize| {
             let pool = pim_runtime::ThreadPool::new(threads);
-            assess_with_sampling(&pool, &m, &base, &CrossingRefined).unwrap()
+            assess_with_sampling(&pool, &m, &base, &Adaptive).unwrap()
         };
         let (serial, parallel) = (on_pool(1), on_pool(4));
         assert_eq!(serial.passive, parallel.passive);
@@ -443,7 +446,6 @@ mod tests {
     /// accept the empty crossing list.
     #[test]
     fn strategies_handle_a_model_without_crossings() {
-        use crate::grid::Adaptive;
         let m = passive_model();
         let sys = StateSpace::from_pole_residue(&m).unwrap();
         let crossings = hamiltonian_crossings(&sys).unwrap();
@@ -451,12 +453,11 @@ mod tests {
         let pool = pim_runtime::ThreadPool::new(1);
         let base =
             FrequencyGrid::from_omegas(&(0..60).map(|k| k as f64 * 20.0).collect::<Vec<_>>());
-        for strategy in [&FixedLog as &dyn SamplingStrategy, &CrossingRefined, &Adaptive::default()]
-        {
+        for strategy in [&FixedLog as &dyn SamplingStrategy, &Adaptive] {
             let (refined, _) = strategy.refine(&pool, &m, &base, &crossings).unwrap();
-            assert!(refined.len() >= base.len(), "{} shrank the grid", strategy.name());
+            assert!(refined.len() >= base.len(), "{strategy:?} shrank the grid");
             let report = assess_with_sampling(&pool, &m, &base, strategy).unwrap();
-            assert!(report.passive, "{}: passive model misjudged", strategy.name());
+            assert!(report.passive, "{strategy:?}: passive model misjudged");
         }
     }
 
@@ -467,7 +468,6 @@ mod tests {
     /// resolve the merged peak.
     #[test]
     fn clustered_crossings_are_deduped_not_lost() {
-        use crate::grid::Adaptive;
         let p1 = c(-8.0, 1000.0);
         let p2 = c(-8.0, 1004.0);
         let r = c(9.0, 0.0);
@@ -491,11 +491,11 @@ mod tests {
         // A coarse base that cannot see the cluster on its own.
         let base =
             FrequencyGrid::from_omegas(&(1..20).map(|k| k as f64 * 100.0).collect::<Vec<_>>());
-        let (refined, _) = CrossingRefined.refine(&pool, &m, &base, &crossings).unwrap();
+        let (refined, _) = Adaptive.refine(&pool, &m, &base, &crossings).unwrap();
         for w in refined.points().windows(2) {
             assert!(w[1] > w[0], "grid must stay strictly increasing after dedup");
         }
-        let report = assess_with_sampling(&pool, &m, &base, &Adaptive::default()).unwrap();
+        let report = assess_with_sampling(&pool, &m, &base, &Adaptive).unwrap();
         assert!(!report.passive);
         assert!(report.sigma_max > 1.0);
         assert!(
@@ -507,11 +507,10 @@ mod tests {
 
     /// A crossing at (numerically near) ω = 0: a model whose DC gain sits
     /// just above one. The ±0.1 % neighborhood and the ±5 % guard collapse
-    /// toward zero without producing negative frequencies, and the
-    /// strategies must classify the DC violation.
+    /// toward zero without producing negative frequencies, and the adaptive
+    /// assessment must classify the DC violation.
     #[test]
     fn crossing_at_dc_is_handled() {
-        use crate::grid::Adaptive;
         // S(0) = d + r/|p| = 0.6 + 0.45 > 1, decaying above ω ≈ |p|.
         let m = PoleResidueModel::new(
             vec![c(-50.0, 0.0)],
@@ -526,23 +525,15 @@ mod tests {
         let base = FrequencyGrid::from_omegas(
             &std::iter::once(0.0).chain((0..40).map(|k| 2.0 * 1.3f64.powi(k))).collect::<Vec<_>>(),
         );
-        for strategy in [&CrossingRefined as &dyn SamplingStrategy, &Adaptive::default()] {
-            let (refined, _) = strategy.refine(&pool, &m, &base, &crossings).unwrap();
-            assert!(refined.points().iter().all(|&w| w >= 0.0), "{}", strategy.name());
-            assert_eq!(
-                refined.points()[0].to_bits(),
-                0.0f64.to_bits(),
-                "{}: DC point lost",
-                strategy.name()
-            );
-            let report = assess_with_sampling(&pool, &m, &base, strategy).unwrap();
-            assert!(!report.passive, "{}: DC violation missed", strategy.name());
-            assert!(
-                report.omega_at_sigma_max < crossings[0],
-                "{}: the violation lives below the first crossing",
-                strategy.name()
-            );
-        }
+        let (refined, _) = Adaptive.refine(&pool, &m, &base, &crossings).unwrap();
+        assert!(refined.points().iter().all(|&w| w >= 0.0));
+        assert_eq!(refined.points()[0].to_bits(), 0.0f64.to_bits(), "DC point lost");
+        let report = assess_with_sampling(&pool, &m, &base, &Adaptive).unwrap();
+        assert!(!report.passive, "DC violation missed");
+        assert!(
+            report.omega_at_sigma_max < crossings[0],
+            "the violation lives below the first crossing"
+        );
     }
 
     #[test]

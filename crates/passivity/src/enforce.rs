@@ -14,7 +14,7 @@
 
 use crate::check::{assess_with_sampling, PassivityReport};
 use crate::constraints::{apply_perturbation, build_constraints, ConstraintSystem};
-use crate::grid::{CrossingRefined, SamplingStrategy};
+use crate::grid::{Adaptive, SamplingStrategy};
 use crate::qp::{solve_block_qp_factored, BlockQpFactors, QpOptions};
 use crate::{NotConvergedDiagnostics, PassivityError, Result};
 use pim_linalg::svd::svd;
@@ -162,8 +162,7 @@ pub struct EnforcementConfig {
     /// The sampling strategy that builds the working sweep, the convergence
     /// double-check grid and the final verification grid, and refines every
     /// per-iteration assessment (see [`crate::grid`]). The default
-    /// [`CrossingRefined`] reproduces the historical hard-wired grids bit
-    /// for bit; [`crate::grid::Adaptive`] chases sub-grid violation bands.
+    /// [`Adaptive`] chases sub-grid violation bands.
     pub sampling: Arc<dyn SamplingStrategy>,
     /// The divergence guard: a streak of this many *consecutive* iterations
     /// in which backtracking bottomed out at the minimum step **and** the
@@ -191,20 +190,10 @@ impl Default for EnforcementConfig {
             sigma_threshold: 0.999,
             sweep_points: 400,
             band_edge_constraints: true,
-            sampling: Arc::new(CrossingRefined),
+            sampling: Arc::new(Adaptive),
             divergence_guard: 3,
             qp: QpOptions::default(),
         }
-    }
-}
-
-impl EnforcementConfig {
-    /// Builder: replaces the sampling strategy (working, double-check and
-    /// verification grids plus per-assessment refinement all follow it).
-    #[must_use]
-    pub fn sampling(mut self, strategy: impl SamplingStrategy + 'static) -> Self {
-        self.sampling = Arc::new(strategy);
-        self
     }
 }
 
@@ -228,11 +217,9 @@ pub struct EnforcementIteration {
     /// Number of linearized singular-value constraints in the QP.
     pub constraints: usize,
     /// Number of points of the refined working grid this iteration's
-    /// assessment swept. Under [`CrossingRefined`] it hovers near the
-    /// baseline (plus a handful of points derived from the iterate's
-    /// Hamiltonian crossings, which shift as violations shrink); under
-    /// [`crate::grid::Adaptive`] it grows substantially as the bisection
-    /// chases sub-grid features.
+    /// assessment swept: the baseline plus the points [`Adaptive`] derives
+    /// from the iterate's Hamiltonian crossings and bisects toward sub-grid
+    /// features.
     pub grid_points: usize,
 }
 
@@ -862,7 +849,7 @@ mod tests {
                     assert!(ev.sigma_after > ev.sigma_before, "guard growth");
                 }
                 // The best-so-far model, re-assessed exactly as the loop
-                // assessed its iterates (working grid + crossing
+                // assessed its iterates (working grid + adaptive
                 // refinement), is no worse than either the start or the
                 // diverged end state.
                 let best = best.expect("best model");
@@ -1032,8 +1019,8 @@ mod tests {
         );
         let _ = sigma_max_at(&out_w.model, 900.0).unwrap();
         let probe = FrequencyGrid::from_omegas(&[0.0, 900.0]);
-        let _ = assess_with_sampling(pim_runtime::global(), &out_w.model, &probe, &CrossingRefined)
-            .unwrap();
+        let _ =
+            assess_with_sampling(pim_runtime::global(), &out_w.model, &probe, &Adaptive).unwrap();
     }
 }
 

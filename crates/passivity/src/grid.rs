@@ -9,39 +9,33 @@
 //! artifact and the *choice of where to sample* into a pluggable policy:
 //!
 //! * [`FrequencyGrid`] — a sorted, deduplicated list of angular frequencies
-//!   (rad/s), each tagged with its [`PointProvenance`] (seed point, crossing
-//!   refinement, adaptive bisection);
+//!   (rad/s);
 //! * [`SamplingStrategy`] — the policy trait: how to build the enforcement
 //!   working and verification grids, and how to refine a base grid for one
 //!   assessment of a concrete model;
 //! * [`FixedLog`] — no refinement: sweep exactly the base grid;
-//! * [`CrossingRefined`] — the historical behavior, extracted verbatim:
-//!   midpoints / geometric means between consecutive Hamiltonian crossings
-//!   plus ±0.1 % neighborhoods (bit-identical to the pre-redesign
-//!   hard-wired refinement);
-//! * [`Adaptive`] — starts from the crossing refinement and then bisects
-//!   intervals around Hamiltonian crossings and local `σ_max` maxima until
-//!   the σ-interpolation error estimate falls below tolerance, evaluating
-//!   the new points in parallel on a [`pim_runtime::ThreadPool`]. This is
-//!   the strategy that exposes sub-grid violation bands (reported
-//!   σ ≈ 1.36 where the fixed working sweep saw ≈ 1.006) and lets the
-//!   enforcement constrain them away.
+//! * [`Adaptive`] — the default: seeds the base grid with midpoints /
+//!   geometric means between consecutive Hamiltonian crossings plus ±0.1 %
+//!   neighborhoods, then bisects intervals around the crossings and local
+//!   `σ_max` maxima until the σ-interpolation error estimate falls below
+//!   tolerance, evaluating the new points in parallel on a
+//!   [`pim_runtime::ThreadPool`]. This is the strategy that exposes
+//!   sub-grid violation bands (reported σ ≈ 1.36 where the fixed working
+//!   sweep saw ≈ 1.006) and lets the enforcement constrain them away.
 //!
 //! This grid is a *sampling* artifact in rad/s; the tabulated-data grid in
 //! hertz (with its DC bookkeeping) remains `pim_rfdata::FrequencyGrid`.
 //!
 //! ```
-//! use pim_passivity::grid::{Adaptive, CrossingRefined, FrequencyGrid, SamplingStrategy};
+//! use pim_passivity::grid::{Adaptive, FrequencyGrid, SamplingStrategy};
 //!
 //! // The enforcement working grid of a 400-point sweep over a band that
 //! // tops out at 1e10 rad/s: logarithmic plus the DC point.
-//! let grid = CrossingRefined.working_grid(1e10, 400);
+//! let grid = Adaptive.working_grid(1e10, 400);
 //! assert_eq!(grid.len(), 401);
 //! assert_eq!(grid.points()[0], 0.0);
 //! // The convergence double-check grid is 4x denser.
-//! assert_eq!(CrossingRefined.verification_grid(1e10, 400).len(), 1601);
-//! // Strategies are compared by name in diagnostics.
-//! assert_eq!(Adaptive::default().name(), "adaptive");
+//! assert_eq!(Adaptive.verification_grid(1e10, 400).len(), 1601);
 //! // Grids canonicalize on construction: sorted, deduplicated.
 //! let g = FrequencyGrid::from_omegas(&[3.0, 1.0, 2.0, 2.0]);
 //! assert_eq!(g.points(), &[1.0, 2.0, 3.0]);
@@ -52,50 +46,28 @@ use crate::Result;
 use pim_statespace::PoleResidueModel;
 use std::fmt;
 
-/// How a grid point came to be part of a [`FrequencyGrid`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PointProvenance {
-    /// Part of the seed (baseline) grid the strategy started from — data
-    /// samples or the logarithmic enforcement sweep, including DC.
-    Seed,
-    /// Inserted between or around Hamiltonian unit-singular-value crossings.
-    Crossing,
-    /// Inserted by adaptive bisection around a σ-interpolation-error hotspot
-    /// or a local `σ_max` maximum.
-    Bisection,
-}
-
-/// A sorted, deduplicated set of angular frequencies (rad/s), each tagged
-/// with the [`PointProvenance`] that produced it.
+/// A sorted, deduplicated set of angular frequencies (rad/s).
 ///
 /// Construction canonicalizes: non-finite and negative values are dropped,
 /// points are sorted ascending, and near-duplicates (within
-/// `ε·max(|ω|, 1)`) collapse to the first occurrence. The canonical form is
+/// `ε·max(|ω|, 1)`) collapse to the smaller one. The canonical form is
 /// what the singular-value sweeps consume, so two strategies that produce
 /// the same point set produce bit-identical sweeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyGrid {
     points: Vec<f64>,
-    provenance: Vec<PointProvenance>,
 }
 
 impl FrequencyGrid {
-    /// Builds a grid from raw angular frequencies, tagging every point as
-    /// [`PointProvenance::Seed`].
+    /// Builds a grid from raw angular frequencies: retains finite
+    /// non-negative values, sorts ascending and deduplicates within
+    /// `ε·max(|ω|, 1)`.
     pub fn from_omegas(omegas: &[f64]) -> Self {
-        FrequencyGrid::from_tagged(omegas.iter().map(|&w| (w, PointProvenance::Seed)).collect())
-    }
-
-    /// Builds a grid from provenance-tagged points, canonicalizing exactly
-    /// like the historical assessment code did: retain finite non-negative
-    /// values, stable-sort ascending, deduplicate within
-    /// `ε·max(|ω|, 1)` keeping the first occurrence.
-    pub fn from_tagged(mut tagged: Vec<(f64, PointProvenance)>) -> Self {
-        tagged.retain(|(w, _)| w.is_finite() && *w >= 0.0);
-        tagged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        tagged.dedup_by(|a, b| (a.0 - b.0).abs() <= f64::EPSILON * a.0.abs().max(1.0));
-        let (points, provenance) = tagged.into_iter().unzip();
-        FrequencyGrid { points, provenance }
+        let mut points = omegas.to_vec();
+        points.retain(|w| w.is_finite() && *w >= 0.0);
+        points.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        points.dedup_by(|a, b| (*a - *b).abs() <= f64::EPSILON * a.abs().max(1.0));
+        FrequencyGrid { points }
     }
 
     /// The logarithmic baseline grid of the enforcement loop: `n` points
@@ -115,26 +87,20 @@ impl FrequencyGrid {
         assert!(n >= 2, "enforcement_log requires at least two points");
         let top = band_max_omega * 2.0;
         let bottom = band_max_omega * 1e-8;
-        let mut tagged: Vec<(f64, PointProvenance)> = (0..n)
+        let mut omegas: Vec<f64> = (0..n)
             .map(|k| {
-                let w = 10f64.powf(
+                10f64.powf(
                     bottom.log10() + (top.log10() - bottom.log10()) * k as f64 / (n - 1) as f64,
-                );
-                (w, PointProvenance::Seed)
+                )
             })
             .collect();
-        tagged.insert(0, (0.0, PointProvenance::Seed));
-        FrequencyGrid::from_tagged(tagged)
+        omegas.insert(0, 0.0);
+        FrequencyGrid::from_omegas(&omegas)
     }
 
     /// The angular frequencies, ascending.
     pub fn points(&self) -> &[f64] {
         &self.points
-    }
-
-    /// One provenance tag per point, parallel to [`FrequencyGrid::points`].
-    pub fn provenance(&self) -> &[PointProvenance] {
-        &self.provenance
     }
 
     /// Number of grid points.
@@ -147,24 +113,9 @@ impl FrequencyGrid {
         self.points.is_empty()
     }
 
-    /// Number of points carrying the given provenance tag.
-    pub fn count_of(&self, provenance: PointProvenance) -> usize {
-        self.provenance.iter().filter(|&&p| p == provenance).count()
-    }
-
-    /// Iterates over `(ω, provenance)` pairs, ascending in ω.
-    pub fn iter_tagged(&self) -> impl Iterator<Item = (f64, PointProvenance)> + '_ {
-        self.points.iter().copied().zip(self.provenance.iter().copied())
-    }
-
-    /// Merges additional tagged points into this grid, returning the
-    /// canonicalized union. Existing points keep priority on near-duplicate
-    /// collisions (they sort first at equal values).
-    #[must_use]
-    pub fn merged_with(&self, extra: Vec<(f64, PointProvenance)>) -> Self {
-        let mut tagged: Vec<(f64, PointProvenance)> = self.iter_tagged().collect();
-        tagged.extend(extra);
-        FrequencyGrid::from_tagged(tagged)
+    /// The canonicalized union of this grid and `extra`.
+    fn merged_with(&self, extra: &[f64]) -> Self {
+        FrequencyGrid::from_omegas(&[self.points.as_slice(), extra].concat())
     }
 }
 
@@ -176,9 +127,6 @@ impl FrequencyGrid {
 /// parallel preset sweeps of the pipeline, and the configuration (which
 /// carries the strategy) is shared across workers.
 pub trait SamplingStrategy: fmt::Debug + Send + Sync {
-    /// Short stable identifier, used by diagnostics and reports.
-    fn name(&self) -> &'static str;
-
     /// The enforcement working grid for the band `(0, band_max_omega]` with
     /// a budget of `sweep_points` baseline samples (plus DC). The default is
     /// the historical logarithmic grid.
@@ -223,10 +171,6 @@ pub trait SamplingStrategy: fmt::Debug + Send + Sync {
 pub struct FixedLog;
 
 impl SamplingStrategy for FixedLog {
-    fn name(&self) -> &'static str {
-        "fixed-log"
-    }
-
     fn refine(
         &self,
         _pool: &pim_runtime::ThreadPool,
@@ -238,60 +182,45 @@ impl SamplingStrategy for FixedLog {
     }
 }
 
-/// The historical refinement, extracted verbatim: the base grid plus
-/// midpoints and geometric means between consecutive Hamiltonian crossings,
-/// ±0.1 % neighborhoods around each crossing, and ±5 % guards outside the
-/// outermost crossings.
-///
-/// This is the default strategy; it reproduces the pre-redesign grids
-/// bit for bit (the float expressions are the same, in the same order).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrossingRefined;
-
-impl CrossingRefined {
-    /// The crossing-derived extra points, in the exact historical insertion
-    /// order (midpoint/geometric pairs, then ±0.1 % neighborhoods, then the
-    /// outer ±5 % guards).
-    fn crossing_points(crossings: &[f64]) -> Vec<(f64, PointProvenance)> {
-        let mut extra = Vec::new();
-        for pair in crossings.windows(2) {
-            extra.push((0.5 * (pair[0] + pair[1]), PointProvenance::Crossing));
-            extra.push(((pair[0] * pair[1]).max(0.0).sqrt(), PointProvenance::Crossing));
-        }
-        for &w in crossings {
-            extra.push((w * 0.999, PointProvenance::Crossing));
-            extra.push((w * 1.001, PointProvenance::Crossing));
-        }
-        if let Some(&last) = crossings.last() {
-            extra.push((last * 1.05, PointProvenance::Crossing));
-        }
-        if let Some(&first) = crossings.first() {
-            extra.push(((first * 0.95).max(0.0), PointProvenance::Crossing));
-        }
-        extra
+/// The crossing-derived seed points of an [`Adaptive`] refinement:
+/// midpoints and geometric means between consecutive Hamiltonian
+/// crossings, ±0.1 % neighborhoods around each crossing, and ±5 % guards
+/// outside the outermost crossings.
+fn crossing_points(crossings: &[f64]) -> Vec<f64> {
+    let mut extra = Vec::new();
+    for pair in crossings.windows(2) {
+        extra.push(0.5 * (pair[0] + pair[1]));
+        extra.push((pair[0] * pair[1]).max(0.0).sqrt());
     }
+    for &w in crossings {
+        extra.push(w * 0.999);
+        extra.push(w * 1.001);
+    }
+    if let Some(&last) = crossings.last() {
+        extra.push(last * 1.05);
+    }
+    if let Some(&first) = crossings.first() {
+        extra.push((first * 0.95).max(0.0));
+    }
+    extra
 }
 
-impl SamplingStrategy for CrossingRefined {
-    fn name(&self) -> &'static str {
-        "crossing-refined"
-    }
+/// Relative σ-interpolation error tolerance driving the [`Adaptive`]
+/// bisection (`|σ − σ_interp| > TOLERANCE · max(1, σ)` triggers
+/// refinement).
+const TOLERANCE: f64 = 1e-3;
+/// Only chase features whose σ exceeds this floor; sub-unit ripple far from
+/// the passivity boundary is not worth resolving.
+const SIGMA_FLOOR: f64 = 0.9;
+/// Maximum number of bisection rounds per assessment.
+const MAX_ROUNDS: usize = 24;
+/// Hard cap on the refined grid size.
+const MAX_POINTS: usize = 20_000;
 
-    fn refine(
-        &self,
-        _pool: &pim_runtime::ThreadPool,
-        _model: &PoleResidueModel,
-        base: &FrequencyGrid,
-        crossings: &[f64],
-    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
-        Ok((base.merged_with(CrossingRefined::crossing_points(crossings)), None))
-    }
-}
-
-/// Adaptive bisection: crossing refinement first, then repeated bisection
-/// around the Hamiltonian crossings and the under-resolved local `σ_max`
-/// maxima until the σ-interpolation error estimate falls below
-/// [`Adaptive::tolerance`].
+/// Adaptive bisection, the default strategy: crossing refinement first,
+/// then repeated bisection around the Hamiltonian crossings and the
+/// under-resolved local `σ_max` maxima until the σ-interpolation error
+/// estimate falls below a relative tolerance of 10⁻³.
 ///
 /// Each round sweeps `σ_max` over the current grid on the given
 /// [`pim_runtime::ThreadPool`] (one evaluate + SVD per new point), then for
@@ -299,33 +228,16 @@ impl SamplingStrategy for CrossingRefined {
 /// the sampled `σ_max` and its log-frequency linear interpolation from the
 /// two neighbors (the estimate concentrates exactly at under-resolved
 /// extrema and crossing neighborhoods). Intervals flanking a point whose
-/// error exceeds the (relative) tolerance — and whose σ is within reach of
-/// the passivity boundary, see [`Adaptive::sigma_floor`] — are bisected at
-/// their geometric midpoint. Rounds stop when no interval qualifies, after
-/// [`Adaptive::max_rounds`], or at the [`Adaptive::max_points`] hard cap.
+/// error exceeds the tolerance — and whose σ is within reach of the
+/// passivity boundary (above 0.9) — are bisected at their geometric
+/// midpoint. Rounds stop when no interval qualifies, after 24 rounds, or at
+/// the hard cap of 20 000 points.
 ///
 /// The refinement is deterministic for every thread count: candidate
 /// intervals are scanned in ascending frequency order and the midpoint
 /// formulas depend only on the interval endpoints.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Adaptive {
-    /// Relative σ-interpolation error tolerance driving the bisection
-    /// (`|σ − σ_interp| > tolerance · max(1, σ)` triggers refinement).
-    pub tolerance: f64,
-    /// Only chase features whose σ exceeds this floor; sub-unit ripple far
-    /// from the passivity boundary is not worth resolving.
-    pub sigma_floor: f64,
-    /// Maximum number of bisection rounds per assessment.
-    pub max_rounds: usize,
-    /// Hard cap on the refined grid size.
-    pub max_points: usize,
-}
-
-impl Default for Adaptive {
-    fn default() -> Self {
-        Adaptive { tolerance: 1e-3, sigma_floor: 0.9, max_rounds: 24, max_points: 20_000 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Adaptive;
 
 impl Adaptive {
     /// Geometric midpoint of `(a, b)` (arithmetic when `a` is DC, where the
@@ -343,30 +255,23 @@ impl Adaptive {
     fn splittable(a: f64, b: f64) -> bool {
         b - a > 1e-9 * b.max(1.0)
     }
-}
 
-impl SamplingStrategy for Adaptive {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn refine(
-        &self,
+    /// [`SamplingStrategy::refine`] with the grid-size cap as a parameter.
+    fn refine_capped(
         pool: &pim_runtime::ThreadPool,
         model: &PoleResidueModel,
         base: &FrequencyGrid,
         crossings: &[f64],
+        max_points: usize,
     ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
-        // Seed with the historical crossing refinement, so the adaptive grid
-        // is always at least as informative as the default strategy's.
-        let mut grid = base.merged_with(CrossingRefined::crossing_points(crossings));
+        let mut grid = base.merged_with(&crossing_points(crossings));
         let mut sigmas: Vec<f64> = pool
             .par_map(grid.points(), |_, &w| sigma_max_at(model, w))
             .into_iter()
             .collect::<Result<_>>()?;
 
-        for _ in 0..self.max_rounds {
-            if grid.len() >= self.max_points {
+        for _ in 0..MAX_ROUNDS {
+            if grid.len() >= max_points {
                 break;
             }
             let w = grid.points();
@@ -381,7 +286,7 @@ impl SamplingStrategy for Adaptive {
             };
             for k in 1..w.len().saturating_sub(1) {
                 let (s0, s1, s2) = (sigmas[k - 1], sigmas[k], sigmas[k + 1]);
-                if s0.max(s1).max(s2) < self.sigma_floor {
+                if s0.max(s1).max(s2) < SIGMA_FLOOR {
                     continue;
                 }
                 // Log-frequency linear interpolation of σ at w[k] from the
@@ -394,7 +299,7 @@ impl SamplingStrategy for Adaptive {
                 let t = if x2 > x0 { (x1 - x0) / (x2 - x0) } else { 0.5 };
                 let predicted = s0 + t * (s2 - s0);
                 let interp_error = (s1 - predicted).abs();
-                if interp_error > self.tolerance * s1.abs().max(1.0) {
+                if interp_error > TOLERANCE * s1.abs().max(1.0) {
                     mark(w[k - 1], w[k], &mut splits);
                     mark(w[k], w[k + 1], &mut splits);
                 }
@@ -406,12 +311,11 @@ impl SamplingStrategy for Adaptive {
             // back to back — drop the duplicates so the budget below is
             // spent on distinct intervals only.
             splits.dedup();
-            let budget = self.max_points.saturating_sub(grid.len());
+            let budget = max_points.saturating_sub(grid.len());
             splits.truncate(budget);
             let new_points: Vec<f64> =
                 splits.iter().map(|&(a, b)| Adaptive::midpoint(a, b)).collect();
-            let refined = grid
-                .merged_with(new_points.iter().map(|&w| (w, PointProvenance::Bisection)).collect());
+            let refined = grid.merged_with(&new_points);
             if refined.len() == grid.len() {
                 break;
             }
@@ -452,6 +356,18 @@ impl SamplingStrategy for Adaptive {
     }
 }
 
+impl SamplingStrategy for Adaptive {
+    fn refine(
+        &self,
+        pool: &pim_runtime::ThreadPool,
+        model: &PoleResidueModel,
+        base: &FrequencyGrid,
+        crossings: &[f64],
+    ) -> Result<(FrequencyGrid, Option<Vec<f64>>)> {
+        Adaptive::refine_capped(pool, model, base, crossings, MAX_POINTS)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,22 +393,10 @@ mod tests {
 
     #[test]
     fn canonicalization_sorts_dedups_and_drops_invalid() {
-        let g = FrequencyGrid::from_tagged(vec![
-            (3.0, PointProvenance::Seed),
-            (f64::NAN, PointProvenance::Seed),
-            (-1.0, PointProvenance::Seed),
-            (1.0, PointProvenance::Seed),
-            (1.0 + f64::EPSILON / 4.0, PointProvenance::Bisection),
-            (2.0, PointProvenance::Crossing),
-        ]);
+        let g =
+            FrequencyGrid::from_omegas(&[3.0, f64::NAN, -1.0, 1.0 + f64::EPSILON / 4.0, 1.0, 2.0]);
+        // The near-duplicate collapsed to the smaller point.
         assert_eq!(g.points(), &[1.0, 2.0, 3.0]);
-        // The near-duplicate collapsed to the first occurrence, keeping the
-        // earlier point's provenance.
-        assert_eq!(
-            g.provenance(),
-            &[PointProvenance::Seed, PointProvenance::Crossing, PointProvenance::Seed]
-        );
-        assert_eq!(g.count_of(PointProvenance::Crossing), 1);
         assert!(!g.is_empty());
         assert_eq!(g.len(), 3);
     }
@@ -520,7 +424,8 @@ mod tests {
 
     #[test]
     fn crossing_refined_reproduces_the_historical_assessment_grid() {
-        // The exact pre-redesign refinement code, inlined as the oracle.
+        // The adaptive seed is the exact pre-redesign crossing refinement,
+        // inlined here as the oracle.
         let omegas: Vec<f64> = (0..50).map(|k| k as f64 * 37.0).collect();
         let crossings = [400.0, 1000.0, 1010.0, 1500.0];
         let mut oracle: Vec<f64> = omegas.clone();
@@ -538,17 +443,20 @@ mod tests {
         oracle.sort_by(|a, b| a.partial_cmp(b).unwrap());
         oracle.dedup_by(|a, b| (*a - *b).abs() <= f64::EPSILON * a.abs().max(1.0));
 
-        let pool = ThreadPool::new(1);
-        let model = narrow_peak_model(1000.0, 50.0);
         let base = FrequencyGrid::from_omegas(&omegas);
-        let refined = CrossingRefined.refine(&pool, &model, &base, &crossings).unwrap().0;
-        assert_eq!(refined.len(), oracle.len());
-        for (a, b) in refined.points().iter().zip(&oracle) {
+        let seeded = base.merged_with(&crossing_points(&crossings));
+        assert_eq!(seeded.len(), oracle.len());
+        for (a, b) in seeded.points().iter().zip(&oracle) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
-        // Provenance: seeds plus crossing-derived points, no bisection.
-        assert_eq!(refined.count_of(PointProvenance::Bisection), 0);
-        assert!(refined.count_of(PointProvenance::Crossing) > 0);
+        // A zero-round refinement (cap already reached) returns exactly the
+        // seed, with one σ sample per point.
+        let pool = ThreadPool::new(1);
+        let model = narrow_peak_model(1000.0, 50.0);
+        let (refined, sigmas) =
+            Adaptive::refine_capped(&pool, &model, &base, &crossings, 0).unwrap();
+        assert_eq!(refined, seeded);
+        assert_eq!(sigmas.map(|s| s.len()), Some(seeded.len()));
     }
 
     #[test]
@@ -558,7 +466,6 @@ mod tests {
         let base = FrequencyGrid::from_omegas(&[0.0, 10.0, 100.0]);
         let refined = FixedLog.refine(&pool, &model, &base, &[9.0, 11.0]).unwrap().0;
         assert_eq!(refined, base);
-        assert_eq!(FixedLog.name(), "fixed-log");
     }
 
     #[test]
@@ -591,9 +498,9 @@ mod tests {
             grid.points().iter().map(|&w| sigma_max_at(&model, w).unwrap()).fold(0.0_f64, f64::max)
         };
         let coarse_max = sigma_on(&base);
-        let crossing_refined = CrossingRefined.refine(&pool, &model, &base, &crossings).unwrap().0;
-        let crossing_max = sigma_on(&crossing_refined);
-        let refined = Adaptive::default().refine(&pool, &model, &base, &crossings).unwrap().0;
+        let seeded = base.merged_with(&crossing_points(&crossings));
+        let crossing_max = sigma_on(&seeded);
+        let refined = Adaptive.refine(&pool, &model, &base, &crossings).unwrap().0;
         let refined_max = sigma_on(&refined);
         // The true peak, located by brute force on a very dense local grid.
         let true_peak = (0..20_000)
@@ -608,12 +515,12 @@ mod tests {
         );
         assert!(
             refined_max >= crossing_max,
-            "adaptive ({refined_max}) must not be worse than crossing refinement ({crossing_max})"
+            "adaptive ({refined_max}) must not be worse than its crossing seed ({crossing_max})"
         );
-        assert!(refined.count_of(PointProvenance::Bisection) > 0);
+        assert!(refined.len() > seeded.len(), "bisection must add points");
         // Deterministic across thread counts (bit-identical grid).
         let wide = ThreadPool::new(4);
-        let again = Adaptive::default().refine(&wide, &model, &base, &crossings).unwrap().0;
+        let again = Adaptive.refine(&wide, &model, &base, &crossings).unwrap().0;
         assert_eq!(again.len(), refined.len());
         for (a, b) in again.points().iter().zip(refined.points()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -634,29 +541,21 @@ mod tests {
         let base = FrequencyGrid::from_omegas(
             &(0..40).map(|k| 10.0 * (k as f64 + 1.0)).collect::<Vec<_>>(),
         );
-        let refined = Adaptive::default().refine(&pool, &smooth, &base, &[]).unwrap().0;
+        let refined = Adaptive.refine(&pool, &smooth, &base, &[]).unwrap().0;
         assert_eq!(refined.len(), base.len(), "smooth sub-floor model needs no refinement");
         // The cap is a hard ceiling even for a violating model.
-        let capped = Adaptive { max_points: 25, ..Adaptive::default() };
         let model = narrow_peak_model(1e6, 2e2);
         let wide_base = FrequencyGrid::from_omegas(
             &(0..20).map(|k| 10f64.powf(4.0 + 4.0 * k as f64 / 19.0)).collect::<Vec<_>>(),
         );
-        let refined = capped.refine(&pool, &model, &wide_base, &[]).unwrap().0;
+        let refined = Adaptive::refine_capped(&pool, &model, &wide_base, &[], 25).unwrap().0;
         assert!(refined.len() <= 25 + 2, "cap exceeded: {}", refined.len());
     }
 
     #[test]
     fn merged_with_keeps_existing_points_on_collision() {
         let base = FrequencyGrid::from_omegas(&[1.0, 2.0]);
-        let merged = base.merged_with(vec![
-            (2.0, PointProvenance::Bisection),
-            (3.0, PointProvenance::Bisection),
-        ]);
+        let merged = base.merged_with(&[2.0, 3.0, 1.0 + f64::EPSILON / 4.0]);
         assert_eq!(merged.points(), &[1.0, 2.0, 3.0]);
-        assert_eq!(
-            merged.provenance(),
-            &[PointProvenance::Seed, PointProvenance::Seed, PointProvenance::Bisection]
-        );
     }
 }

@@ -23,12 +23,12 @@
 //!   [`enforce::PerturbationNorm`] for a model, and [`norm::StandardNorm`]
 //!   is the built-in unweighted builder;
 //! * [`grid`] — the first-class sampling layer: [`grid::FrequencyGrid`]
-//!   (sorted, deduplicated, provenance-tagged sweep points) and the
-//!   pluggable [`grid::SamplingStrategy`] — [`grid::FixedLog`],
-//!   [`grid::CrossingRefined`] (the historical refinement, bit for bit) and
-//!   [`grid::Adaptive`] (bisection around Hamiltonian crossings and local
-//!   σ maxima until the interpolation error falls below tolerance) — that
-//!   drives every assessment and all three enforcement grids.
+//!   (sorted, deduplicated sweep points) and the pluggable
+//!   [`grid::SamplingStrategy`] — [`grid::FixedLog`] (sweep the base grid
+//!   untouched) and the default [`grid::Adaptive`] (crossing refinement,
+//!   then bisection around Hamiltonian crossings and local σ maxima until
+//!   the interpolation error falls below tolerance) — that drives every
+//!   assessment and all three enforcement grids.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -48,9 +48,7 @@ pub use enforce::{
     enforce_passivity_observed, EnforcementConfig, EnforcementIteration, EnforcementObserver,
     EnforcementOutcome, PerturbationNorm, RobustnessInfo,
 };
-pub use grid::{
-    Adaptive, CrossingRefined, FixedLog, FrequencyGrid, PointProvenance, SamplingStrategy,
-};
+pub use grid::{Adaptive, FixedLog, FrequencyGrid, SamplingStrategy};
 pub use norm::{NormBuilder, NormKind, StandardNorm};
 
 use std::error::Error;

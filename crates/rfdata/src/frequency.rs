@@ -128,11 +128,6 @@ impl FrequencyGrid {
         self.freqs_hz.iter()
     }
 
-    /// Smallest non-zero frequency of the grid, if any.
-    pub fn min_nonzero_hz(&self) -> Option<f64> {
-        self.freqs_hz.iter().copied().find(|&f| f > 0.0)
-    }
-
     /// Largest frequency of the grid.
     pub fn max_hz(&self) -> f64 {
         *self.freqs_hz.last().expect("grid is never empty")
@@ -157,22 +152,6 @@ impl FrequencyGrid {
             }
         }
         best
-    }
-
-    /// Returns a decimated copy keeping every `step`-th sample (always keeps
-    /// the first and last samples).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step == 0`.
-    pub fn decimate(&self, step: usize) -> FrequencyGrid {
-        assert!(step > 0, "decimation step must be positive");
-        let n = self.freqs_hz.len();
-        let mut freqs: Vec<f64> = self.freqs_hz.iter().copied().step_by(step).collect();
-        if *freqs.last().unwrap() != self.freqs_hz[n - 1] {
-            freqs.push(self.freqs_hz[n - 1]);
-        }
-        FrequencyGrid { freqs_hz: freqs }
     }
 }
 
@@ -219,7 +198,6 @@ mod tests {
         assert!((w[1] - 2.0 * std::f64::consts::PI).abs() < 1e-12);
         assert_eq!(g.nearest_index(8.0), 2);
         assert_eq!(g.nearest_index(0.4), 0);
-        assert_eq!(g.min_nonzero_hz(), Some(1.0));
     }
 
     #[test]
@@ -233,15 +211,6 @@ mod tests {
         assert!(FrequencyGrid::log_space(10.0, 1.0, 10).is_err());
         assert!(FrequencyGrid::log_space(1.0, 10.0, 1).is_err());
         assert!(FrequencyGrid::lin_space(5.0, 1.0, 10).is_err());
-    }
-
-    #[test]
-    fn decimate_keeps_endpoints() {
-        let g = FrequencyGrid::log_space(1e3, 1e9, 100).unwrap();
-        let d = g.decimate(7);
-        assert_eq!(d.freqs_hz()[0], g.freqs_hz()[0]);
-        assert_eq!(d.max_hz(), g.max_hz());
-        assert!(d.len() < g.len());
     }
 
     #[test]

@@ -233,28 +233,6 @@ impl PoleResidueModel {
         Ok(NetworkData::new(grid.clone(), matrices, kind, z_ref)?)
     }
 
-    /// Returns a copy with every unstable pole reflected into the left half
-    /// plane (`p ← −p̄`), the standard stabilization used inside Vector
-    /// Fitting pole relocation.
-    pub fn with_stable_poles(&self) -> PoleResidueModel {
-        let poles = self
-            .poles
-            .iter()
-            .map(|p| if p.re > 0.0 { Complex64::new(-p.re, p.im) } else { *p })
-            .collect();
-        PoleResidueModel { poles, residues: self.residues.clone(), d: self.d.clone() }
-    }
-
-    /// Returns a copy with the residue matrices replaced (poles and `D`
-    /// unchanged).
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`PoleResidueModel::new`].
-    pub fn with_residues(&self, residues: Vec<CMat>, d: Mat) -> Result<PoleResidueModel> {
-        PoleResidueModel::new(self.poles.clone(), residues, d)
-    }
-
     /// Extracts the scalar (single-element) model for entry `(i, j)`.
     ///
     /// # Errors
@@ -384,24 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn stabilization_flips_unstable_poles() {
-        let p = c(2.0, 3.0);
-        let r = CMat::identity(1);
-        let m = PoleResidueModel::new(
-            vec![p, p.conj(), c(5.0, 0.0)],
-            vec![r.clone(), r.conj(), r.clone()],
-            Mat::identity(1),
-        )
-        .unwrap();
-        assert!(!m.is_stable());
-        let st = m.with_stable_poles();
-        assert!(st.is_stable());
-        assert!((st.poles()[0].re + 2.0).abs() < 1e-15);
-        assert!((st.poles()[0].im - 3.0).abs() < 1e-15);
-        assert!((st.poles()[2].re + 5.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn element_model_extraction() {
         let m = two_port_model();
         let e = m.element_model(1, 0).unwrap();
@@ -412,14 +372,5 @@ mod tests {
         let scalar = e.evaluate(s).unwrap()[(0, 0)];
         assert!((full - scalar).abs() < 1e-12);
         assert!(m.element_model(2, 0).is_err());
-    }
-
-    #[test]
-    fn with_residues_replaces_and_validates() {
-        let m = two_port_model();
-        let zeros: Vec<CMat> = m.residues().iter().map(|r| r.scaled_real(0.0)).collect();
-        let z = m.with_residues(zeros, Mat::zeros(2, 2)).unwrap();
-        let h = z.evaluate(c(0.0, 1e4)).unwrap();
-        assert!(h.max_abs() < 1e-15);
     }
 }

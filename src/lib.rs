@@ -15,8 +15,6 @@
 //!
 //! ```
 //! use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario};
-//! use pim_repro::passivity::grid::Adaptive;
-//! use pim_repro::passivity::EnforcementConfig;
 //! use pim_repro::vectfit::VfConfig;
 //! use pim_repro::PimError;
 //!
@@ -24,15 +22,9 @@
 //! let scenario = StandardScenario::reduced()?;
 //!
 //! // A light configuration for the doc test; FlowConfig::default() is the
-//! // paper-faithful one. The enforcement `sampling` builder picks the
-//! // sweep-grid strategy: `Adaptive` bisects toward violation bands
-//! // narrower than the grid spacing (the default `CrossingRefined`
-//! // reproduces the historical grids bit for bit).
-//! let config = FlowConfig {
-//!     vf: VfConfig::with_order(10).iterations(3),
-//!     enforcement: EnforcementConfig::default().sampling(Adaptive::default()),
-//!     ..Default::default()
-//! };
+//! // paper-faithful one. Its `Adaptive` sweep-grid sampling bisects toward
+//! // violation bands narrower than the grid spacing.
+//! let config = FlowConfig { vf: VfConfig::with_order(10).iterations(3), ..Default::default() };
 //! let mut pipeline = Pipeline::from_scenario(&scenario, config)?;
 //!
 //! // Sensitivity of the target impedance to scattering perturbations
@@ -45,7 +37,7 @@
 //! assert!(fit.result.rms_error.is_finite() && fit.result.rms_error < 0.1);
 //!
 //! // Hamiltonian passivity assessment of the fitted macromodel: the
-//! // report records the provenance-tagged grid the sweep actually ran on.
+//! // report records the grid the sweep actually ran on.
 //! let assessment = pipeline.assess()?;
 //! assert!(assessment.sigma_max_before > 0.0);
 //! assert!(!assessment.report.grid.is_empty());

@@ -13,30 +13,27 @@
 //! it away, and the delivered model stays passive on a dense 16× audit grid
 //! it was never constrained on.
 //!
-//! The historical `CrossingRefined` path is asserted too: it must keep
-//! missing the band on its working grid (if it stops missing it, the
-//! numerics changed and the fixture story needs revisiting).
+//! The unrefined working grid is asserted too: it must keep missing the
+//! band (if it stops missing it, the numerics changed and the fixture story
+//! needs revisiting).
 
-use pim_repro::core_flow::{FitKind, FlowConfig, Pipeline, StandardScenario, TraceObserver};
+use pim_repro::core_flow::{
+    corpus_flow_config, FitKind, FlowConfig, Pipeline, StandardScenario, TraceObserver,
+};
 use pim_repro::passivity::check::assess_with_sampling;
-use pim_repro::passivity::grid::{Adaptive, CrossingRefined, FixedLog, FrequencyGrid};
+use pim_repro::passivity::grid::{Adaptive, FixedLog, FrequencyGrid};
 use pim_repro::passivity::NormKind;
 use pim_repro::runtime::ThreadPool;
 
 /// The hidden violation band of the anomaly (rad/s).
 const OMEGA_BAND: f64 = 7.04e9;
 
-/// The trimmed configuration of `tests/pipeline.rs`, shared with the
-/// figure harness: the pinned `fig5_iterations.txt` fixture was recorded
-/// under it.
-fn quick_config() -> FlowConfig {
-    pim_bench::fixture_flow_config()
-}
-
 #[test]
 fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
     let sc = StandardScenario::reduced().unwrap();
-    let config = quick_config();
+    // The trimmed configuration `tests/pipeline.rs` records the pinned
+    // `fig5_iterations.txt` fixture under.
+    let config = corpus_flow_config(18);
     let pool = ThreadPool::new(1);
 
     // The weighted fit and the enforcement working-grid shape, exactly as
@@ -46,10 +43,10 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
     let band_max_omega = sc.data.grid().max_omega();
     let working = FrequencyGrid::enforcement_log(band_max_omega, config.enforcement.sweep_points);
 
-    // --- 1. The historical strategy still under-reports the band on the
-    //        working grid (the anomaly's mechanism)...
-    let crossing_report =
-        assess_with_sampling(&pool, &fit.result.model, &working, &CrossingRefined).unwrap();
+    // --- 1. The working grid alone under-reports the band (the anomaly's
+    //        mechanism)...
+    let working_report =
+        assess_with_sampling(&pool, &fit.result.model, &working, &FixedLog).unwrap();
     let sigma_near_band = |report: &pim_repro::passivity::PassivityReport| -> f64 {
         report
             .bands
@@ -58,10 +55,10 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
             .map(|b| b.sigma_peak)
             .fold(0.0_f64, f64::max)
     };
-    let hidden = sigma_near_band(&crossing_report);
+    let hidden = sigma_near_band(&working_report);
     assert!(
         hidden < 1.3,
-        "the crossing-refined working sweep used to under-report the band \
+        "the working sweep used to under-report the band \
          (σ ≈ 1.006); it now sees {hidden} — the anomaly mechanism changed, revisit this test"
     );
 
@@ -69,24 +66,25 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
     //        the very first assessment (satellite acceptance: σ ≥ 1.3 at
     //        first exposure).
     let adaptive_report =
-        assess_with_sampling(&pool, &fit.result.model, &working, &Adaptive::default()).unwrap();
+        assess_with_sampling(&pool, &fit.result.model, &working, &Adaptive).unwrap();
     let exposed = sigma_near_band(&adaptive_report);
     assert!(
         exposed >= 1.3,
         "the adaptive assessment must expose the ω≈7.04e9 band at first exposure \
          (σ ≥ 1.3), got {exposed}"
     );
-    // The adaptive grid grew beyond the crossing-refined one to do it.
-    assert!(adaptive_report.grid.len() > crossing_report.grid.len());
+    // The adaptive grid grew beyond the working grid to do it.
+    assert!(adaptive_report.grid.len() > working_report.grid.len());
 
     // --- 3. The full adaptive flow: the enforcement constrains the exposed
     //        band away and the delivered model survives a 16× fixed-log
     //        audit grid it was never constrained on.
     let mut trace = TraceObserver::new();
-    let mut adaptive = config.clone();
-    adaptive.enforcement = adaptive.enforcement.sampling(Adaptive::default());
-    let report =
-        Pipeline::from_scenario(&sc, adaptive).unwrap().with_observer(&mut trace).report().unwrap();
+    let report = Pipeline::from_scenario(&sc, config.clone())
+        .unwrap()
+        .with_observer(&mut trace)
+        .report()
+        .unwrap();
     let out = report.weighted_enforcement.as_ref().expect("enforcement must run");
     assert!(out.report.passive, "the adaptive enforcement must certify passivity");
     let audit =
@@ -129,15 +127,14 @@ fn adaptive_sampling_exposes_and_eliminates_the_hidden_band() {
 
 /// Full-size acceptance run (paper scenario, `FlowConfig::default`): the
 /// delivered weighted model must certify σ_max ≤ 1 + 1e-8 on a 16× audit
-/// grid it was not constrained on. Takes minutes in release mode — CI runs
-/// it in the diagnostics step (`cargo test --release --test fig5_anomaly --
-/// --ignored`).
+/// grid it was not constrained on. Takes ~15 s in release mode (2-core
+/// x86_64 container) and far longer in debug — CI runs it in the
+/// diagnostics step (`cargo test --release --test fig5_anomaly -- --ignored`).
 #[test]
-#[ignore = "full paper-size scenario: minutes in release, run by the CI diagnostics step"]
+#[ignore = "full paper-size scenario: slow in debug, run by the CI diagnostics step"]
 fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
     let sc = StandardScenario::standard().unwrap();
-    let mut config = FlowConfig::default();
-    config.enforcement = config.enforcement.sampling(Adaptive::default());
+    let config = FlowConfig::default();
     let report = Pipeline::from_scenario(&sc, config.clone()).unwrap().report().unwrap();
     let band_max_omega = sc.data.grid().max_omega();
     let audit =
@@ -157,6 +154,25 @@ fn paper_scenario_adaptive_enforcement_certifies_on_a_16x_grid() {
         "weighted ({}) must beat standard ({}) on the paper scenario",
         report.weighted_passive_eval.impedance_relative_error,
         std_eval.impedance_relative_error
+    );
+}
+
+/// The default flow on the reduced board delivers a model that passes its
+/// own 16× fixed-log audit. Crossing refinement without the adaptive
+/// bisection delivers `audit_sigma_max` 1.000022 here: passive on its
+/// working grids, not on the audit. The untrimmed default flow takes about
+/// a second in release mode but far longer in the debug tier-1 run, so it
+/// runs with the paper-size test above.
+#[test]
+#[ignore = "untrimmed default flow: slow in debug, run by the CI diagnostics step"]
+fn reduced_scenario_default_flow_passes_its_16x_audit() {
+    let sc = StandardScenario::reduced().unwrap();
+    let report = Pipeline::from_scenario(&sc, FlowConfig::default()).unwrap().report().unwrap();
+    let contract = report.contract.as_ref().expect("a delivered report carries its contract");
+    assert!(
+        contract.audit_sigma_max <= 1.0 + 1e-8,
+        "the default reduced flow must pass its 16x audit (audit_sigma_max = {})",
+        contract.audit_sigma_max
     );
 }
 

@@ -3,8 +3,8 @@
 //! enforcement-trace regression fixture.
 
 use pim_repro::core_flow::{
-    CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline, RecoveryRung,
-    ScenarioPreset, Stage, StandardScenario, TraceObserver,
+    corpus_flow_config, CoreError, FitKind, FlowConfig, FlowReport, ModelEvaluation, Pipeline,
+    RecoveryRung, ScenarioPreset, Stage, StandardScenario, TraceObserver,
 };
 use pim_repro::linalg::{CMat, Complex64, Mat};
 use pim_repro::passivity::{
@@ -14,10 +14,10 @@ use pim_repro::runtime::ThreadPool;
 use pim_repro::statespace::PoleResidueModel;
 
 /// The trimmed configuration the in-crate flow tests use: identical
-/// numerics class, fraction of the runtime — shared with the figure
-/// harness so the fixture below is always recorded under the same config.
+/// numerics class, fraction of the runtime — the fixture below is recorded
+/// under it.
 fn quick_config() -> FlowConfig {
-    pim_bench::fixture_flow_config()
+    corpus_flow_config(18)
 }
 
 fn assert_f64_bits(a: f64, b: f64, what: &str) {
